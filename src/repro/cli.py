@@ -149,10 +149,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "others run the named policy directly on the raw sequence",
     )
     p_solve.add_argument("--engine", default="auto",
-                         choices=["auto", "reference", "incremental", "array"],
+                         choices=["auto", "reference", "incremental"],
                          help="round engine for direct policies (ignored by "
-                         "the pipeline); 'auto' picks incremental below "
-                         "1024 resources and array at or above it; all "
+                         "the pipeline); 'auto' is incremental; both "
                          "engines are digest-identical")
     p_solve.add_argument("--timeline", action="store_true",
                          help="print an ASCII timeline of the schedule")
@@ -184,8 +183,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_perf = sub.add_parser(
         "perf",
-        help="time the incremental and array engines against the reference "
-        "engine and verify three-way bit-identity; writes BENCH_perf.json",
+        help="time the incremental engine against the reference engine and "
+        "verify their bit-identity; writes BENCH_perf.json",
     )
     p_perf.add_argument("--scale", default="quick", choices=["quick", "full"])
     p_perf.add_argument("--repeats", type=int, default=3)
@@ -205,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        "(always available); 'z3' needs the optional "
                        "z3-solver wheel (pip install repro[opt])")
     p_opt.add_argument("--engine", default="incremental",
-                       choices=["auto", "reference", "incremental", "array"],
+                       choices=["auto", "reference", "incremental"],
                        help="round engine used to replay-validate decoded "
                        "optima and (in dashboard mode) run the policies")
     p_opt.add_argument("--max-states", type=int, default=2_000_000,
@@ -286,7 +285,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--speed", type=int, default=1,
                          help="mini-rounds per round")
     p_serve.add_argument("--engine", default="incremental",
-                         choices=["auto", "reference", "incremental", "array"])
+                         choices=["auto", "reference", "incremental"],
+                         help="round engine; 'auto' is incremental")
     p_serve.add_argument("--clock", default="client",
                          choices=["client", "timer"],
                          help="'client': rounds advance on tick frames "

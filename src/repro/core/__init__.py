@@ -32,7 +32,6 @@ from repro.core.events import (
 )
 from repro.core.schedule import Schedule, ScheduleError, validate_schedule
 from repro.core.simulator import Simulator, SimulationResult, Policy
-from repro.core.array_engine import ArrayPendingStore, ArraySimulator, ColorBucket
 from repro.core.engine import ENGINES, engine_of, make_simulator, resolve_engine
 from repro.core.notation import (
     BatchField,
@@ -74,9 +73,6 @@ __all__ = [
     "Simulator",
     "SimulationResult",
     "Policy",
-    "ArrayPendingStore",
-    "ArraySimulator",
-    "ColorBucket",
     "ENGINES",
     "engine_of",
     "make_simulator",

@@ -326,9 +326,9 @@ def simulate(
 ) -> SimulationResult:
     """One-shot convenience wrapper around the engine registry.
 
-    ``engine`` selects by name (``reference``/``incremental``/``array``,
-    see :mod:`repro.core.engine`) and overrides the legacy
-    ``incremental`` boolean when given.
+    ``engine`` selects by name (``reference``/``incremental``/``auto``,
+    see :mod:`repro.core.engine`) and overrides the ``incremental``
+    boolean when given.
     """
     if engine is not None:
         from repro.core.engine import make_simulator

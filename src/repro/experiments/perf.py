@@ -1,20 +1,18 @@
-"""Perf harness: all three round engines against each other.
+"""Perf harness: the two round engines against each other.
 
-Every simulator/policy pair in this codebase runs on one of three
-engines (see :mod:`repro.core.engine`):
+Every simulator/policy pair in this codebase runs on one of two engines
+(see :mod:`repro.core.engine`):
 
 - ``reference`` — the historical full-scan / full-re-sort object engine;
 - ``incremental`` — index-diffed reconfiguration in the resource bank,
-  maintained rankings in the policies, sparse execution;
-- ``array`` — the structure-of-arrays engine: numpy deadline buckets
-  and batch phase kernels (:mod:`repro.core.array_engine`).
+  maintained rankings in the policies, sparse execution.
 
-All three are required to be **bit-identical**: same ledger, same
-schedule, same event log, job for job and location for location.  This
-harness measures the speedups over the reference engine on the same
-workloads the pytest benchmarks use (E12's datacenter scenario plus the
-scaling series) and verifies the bit-identity contract on every case —
-both within this process and, optionally, across processes under
+Both are required to be **bit-identical**: same ledger, same schedule,
+same event log, job for job and location for location.  This harness
+measures the incremental engine's speedup over the reference engine on
+the same workloads the pytest benchmarks use (E12's datacenter scenario
+plus the scaling series) and verifies the bit-identity contract on every
+case — both within this process and, optionally, across processes under
 different ``PYTHONHASHSEED`` values (string-colored workloads would
 leak set iteration order into the schedules if any code path iterated a
 raw set).
@@ -31,6 +29,7 @@ import argparse
 import gc
 import json
 import os
+import platform
 import subprocess
 import sys
 import time
@@ -47,7 +46,7 @@ from repro.policies.dlru_edf import DeltaLRUEDFPolicy
 from repro.workloads.generators import rate_limited_workload
 from repro.workloads.scenarios import datacenter_workload
 
-SCHEMA = "bench-perf-v3"
+SCHEMA = "bench-perf-v4"
 
 #: PYTHONHASHSEED values for the cross-process determinism leg (≥3 distinct
 #: seeds, none of them 0, so hash-order bugs cannot hide behind a fixed seed).
@@ -72,9 +71,6 @@ class PerfCase:
     #: the incremental acceptance gate (>= 1.5x) applies to the largest
     #: case only.
     largest: bool = False
-    #: the array-engine acceptance gate (>= 10x over reference) applies
-    #: to the largest ``scaling_*`` case only.
-    array_gated: bool = False
 
 
 #: The perf suite mirrors the pytest benchmarks: E12's datacenter scenario
@@ -114,18 +110,15 @@ CASES: tuple[PerfCase, ...] = (
         n=1024,
         scales=("full",),
     ),
-    # The largest scaling-series point, and the array engine's gate: the
-    # reference engine's per-mini-round O(n) location scan grows linearly
-    # in n while the array engine touches only the nonidle buckets' front
-    # slices, so its wall clock is flat in n — the >= 10x acceptance gate
-    # lives here.
+    # The largest scaling-series point: the reference engine's
+    # per-mini-round O(n) location scan grows linearly in n while the
+    # incremental engine touches only changed locations and nonidle colors.
     PerfCase(
         name="scaling_resources_16384",
         workload="rate-limited",
         params={"num_colors": 32, "horizon": 1024, "delta": 4, "seed": 0},
         n=16384,
         scales=("full",),
-        array_gated=True,
     ),
     PerfCase(
         name="e12_datacenter_full",
@@ -153,20 +146,11 @@ def build_instance(case: PerfCase) -> Instance:
     return _WORKLOADS[case.workload](**case.params)
 
 
-def _coerce_engine(engine: str | bool) -> str:
-    """Accept an engine name or the legacy ``incremental`` boolean."""
-    if isinstance(engine, bool):
-        return "incremental" if engine else "reference"
-    return engine
-
-
 def run_case(
     case: PerfCase,
-    engine: str | bool = "incremental",
+    engine: str = "incremental",
     record_events: bool = True,
     instance: Instance | None = None,
-    *,
-    incremental: bool | None = None,
 ) -> SimulationResult:
     """One simulation of ``case`` on the named engine.
 
@@ -175,9 +159,6 @@ def run_case(
     workload carry different uid streams (and therefore different digests)
     even though the runs are otherwise identical.
     """
-    if incremental is not None:
-        engine = incremental
-    engine = _coerce_engine(engine)
     if instance is None:
         instance = build_instance(case)
     policy = DeltaLRUEDFPolicy(
@@ -202,9 +183,8 @@ def time_case(case: PerfCase, repeats: int) -> dict[str, float]:
 
     The repeats interleave the engines and collect garbage before each
     timed run, so clock drift and allocator state hit every side equally
-    (events off, like the pytest benchmarks).  Simulator construction —
-    where the array engine front-loads its presorted arrival runs — is
-    timed too, so the array column pays for its precompute.
+    (events off, like the pytest benchmarks).  Simulator construction is
+    timed too.
     """
     best = {engine: float("inf") for engine in ENGINES}
     for _ in range(repeats):
@@ -256,8 +236,7 @@ def hashseed_digests() -> dict[str, str]:
     An extra leg re-runs the incremental engine with a live telemetry
     recorder (metrics plus a discarded JSONL trace): the
     never-affects-digests contract must hold under every hash seed, so the
-    flat-digest check covers telemetry-on alongside all three plain
-    engines.
+    flat-digest check covers telemetry-on alongside both plain engines.
     """
     import io
 
@@ -296,8 +275,7 @@ def check_hashseed_determinism(
     """Run the string-colored digest in one subprocess per hash seed.
 
     Returns ``{"seeds": [...], "digests": {...}, "identical": bool}`` where
-    ``identical`` means every seed and all three engines produced one
-    digest.
+    ``identical`` means every seed and both engines produced one digest.
     """
     digests: dict[str, dict[str, str]] = {}
     src_root = str(Path(__file__).resolve().parents[2])
@@ -365,7 +343,7 @@ def telemetry_section(
 
     # The digest contract, on a shared instance (uid streams, see run_case).
     shared = build_instance(case)
-    plain = run_case(case, True, record_events=True, instance=shared)
+    plain = run_case(case, record_events=True, instance=shared)
     recorder = TelemetryRecorder()
     instrumented = Simulator(
         shared,
@@ -416,6 +394,26 @@ def telemetry_section(
 # -- the harness ----------------------------------------------------------------
 
 
+def host() -> dict:
+    """Where the numbers were measured: CPUs, python, platform, checkout."""
+    try:
+        sha = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        sha = "unknown"
+    return {
+        "cpus": os.cpu_count() or 1,
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "git_sha": sha,
+    }
+
+
 def run_perf(
     scale: str = "quick",
     repeats: int = 3,
@@ -444,24 +442,19 @@ def run_perf(
             "params": dict(case.params),
             "n": case.n,
             "largest": case.largest,
-            "array_gated": case.array_gated,
             "reference_seconds": round(seconds["reference"], 6),
             "incremental_seconds": round(seconds["incremental"], 6),
-            "array_seconds": round(seconds["array"], 6),
             "speedup": round(seconds["reference"] / seconds["incremental"], 3),
-            "speedup_array": round(seconds["reference"] / seconds["array"], 3),
             "digest": digests["incremental"],
             "digests_match": len(set(digests.values())) == 1,
         })
     flagged = next((r for r in rows if r["largest"]), None)
     gate_row = flagged or rows[-1]
-    array_flagged = next((r for r in rows if r["array_gated"]), None)
-    array_row = array_flagged or max(rows, key=lambda r: r["speedup_array"])
     payload = {
         "schema": SCHEMA,
         "scale": scale,
         "repeats": repeats,
-        "python": sys.version.split()[0],
+        "host": host(),
         "engines": list(ENGINES),
         "cases": rows,
         "largest_case": {
@@ -471,15 +464,6 @@ def run_perf(
             # The 1.5x acceptance gate is defined on the largest (full-scale)
             # case; at --scale quick the number is informational.
             "gated": flagged is not None,
-        },
-        "array_case": {
-            "name": array_row["name"],
-            "speedup_array": array_row["speedup_array"],
-            "meets_10x": array_row["speedup_array"] >= 10.0,
-            # The 10x array gate is defined on the largest scaling_* case,
-            # which only runs at --scale full; at quick scale the best
-            # observed array speedup is reported informationally.
-            "gated": array_flagged is not None,
         },
         "all_digests_match": all(r["digests_match"] for r in rows),
     }
@@ -496,15 +480,13 @@ def render(payload: dict) -> str:
     lines = [
         f"perf ({payload['scale']}, best of {payload['repeats']}):",
         f"  {'case':26s} {'reference':>10s} {'incremental':>12s} "
-        f"{'array':>10s} {'inc':>7s} {'arr':>8s}  digests",
+        f"{'speedup':>8s}  digests",
     ]
     for row in payload["cases"]:
         lines.append(
             f"  {row['name']:26s} {row['reference_seconds'] * 1000:9.1f}ms "
             f"{row['incremental_seconds'] * 1000:11.1f}ms "
-            f"{row['array_seconds'] * 1000:9.1f}ms "
-            f"{row['speedup']:6.2f}x "
-            f"{row['speedup_array']:7.2f}x  "
+            f"{row['speedup']:7.2f}x  "
             f"{'match' if row['digests_match'] else 'MISMATCH'}"
         )
     largest = payload["largest_case"]
@@ -517,17 +499,6 @@ def render(payload: dict) -> str:
         lines.append(
             f"  largest case {largest['name']}: {largest['speedup']:.2f}x "
             f"(informational; the 1.5x gate applies at --scale full)"
-        )
-    array = payload["array_case"]
-    if array.get("gated"):
-        lines.append(
-            f"  array gate {array['name']}: {array['speedup_array']:.2f}x "
-            f"({'meets' if array['meets_10x'] else 'BELOW'} the 10x gate)"
-        )
-    else:
-        lines.append(
-            f"  array gate {array['name']}: {array['speedup_array']:.2f}x "
-            f"(informational; the 10x gate applies at --scale full)"
         )
     if "telemetry" in payload:
         tel = payload["telemetry"]
@@ -555,7 +526,7 @@ def render(payload: dict) -> str:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="perf",
-        description="three-engine benchmark (reference / incremental / array)",
+        description="two-engine benchmark (reference / incremental)",
     )
     parser.add_argument("--scale", default="quick", choices=["quick", "full"])
     parser.add_argument("--repeats", type=int, default=3)

@@ -165,7 +165,6 @@ def verify_offline(
     shards = params["shards"]
     capacities = params["shard_capacity"]
     engine = params["engine"]
-    incremental = engine != "reference"
     per_shard: list[list] = [[] for _ in range(shards)]
     for rnd in range(instance.horizon):
         for job in instance.sequence.request(rnd):
@@ -179,7 +178,9 @@ def verify_offline(
             sequence, params["delta"], name=f"offline/shard{shard_id}"
         )
         policy = make_policy(
-            params["policy"], params["delta"], incremental=incremental
+            params["policy"],
+            params["delta"],
+            incremental=engine != "reference",
         )
         sim = make_simulator(
             shard_instance,

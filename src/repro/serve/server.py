@@ -82,10 +82,8 @@ class ServeConfig:
     policy: str = "dlru-edf"
     shards: int = 1
     speed: int = 1
-    incremental: bool = True
-    #: engine name ("reference"/"incremental"/"array"); when None the
-    #: legacy ``incremental`` bool selects between the object engines.
-    engine: str | None = None
+    #: engine name ("reference"/"incremental"; "auto" means incremental).
+    engine: str = "incremental"
     clock: str = "client"  # "client" | "timer"
     round_interval: float = 0.05  # timer clock only
     max_pending: int = 10_000
@@ -130,8 +128,7 @@ class ServeConfig:
     def __post_init__(self) -> None:
         from repro.core.engine import resolve_engine
 
-        self.engine = resolve_engine(self.engine, incremental=self.incremental)
-        self.incremental = self.engine != "reference"
+        self.engine = resolve_engine(self.engine)
         if self.clock not in ("client", "timer"):
             raise ValueError(
                 f"clock must be 'client' or 'timer', got {self.clock!r}"
@@ -217,7 +214,9 @@ class SchedulingServer:
                 n=config.n,
                 delta=config.delta,
                 policy_factory=lambda: make_policy(
-                    config.policy, config.delta, incremental=config.incremental
+                    config.policy,
+                    config.delta,
+                    incremental=config.engine != "reference",
                 ),
                 shards=config.shards,
                 speed=config.speed,

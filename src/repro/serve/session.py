@@ -135,13 +135,12 @@ class SessionShard:
         delta: int | float,
         policy: Policy,
         speed: int = 1,
-        incremental: bool = True,
         telemetry: Recorder | None = None,
         name: str = "serve",
-        engine: str | None = None,
+        engine: str = "incremental",
     ):
         self.shard_id = shard_id
-        self.engine = resolve_engine(engine, incremental=incremental)
+        self.engine = resolve_engine(engine)
         self.live = LiveSequence()
         self.instance = self.live.as_instance(
             delta, name=f"{name}/shard{shard_id}"
@@ -243,20 +242,18 @@ class ShardedSession:
         policy_factory: Callable[[], Policy],
         shards: int = 1,
         speed: int = 1,
-        incremental: bool = True,
         max_pending: int = 10_000,
         weights: Sequence[int | float] | None = None,
         telemetry: Recorder | None = None,
         name: str = "serve",
-        engine: str | None = None,
+        engine: str = "incremental",
     ):
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
         self.n = n
         self.delta = delta
         self.speed = speed
-        self.engine = resolve_engine(engine, incremental=incremental)
-        self.incremental = self.engine != "reference"
+        self.engine = resolve_engine(engine)
         self.max_pending = max_pending
         self.capacities = split_capacity(n, shards, weights)
         self.shards = [

@@ -126,7 +126,9 @@ def _shard_worker_main(
         set_recorder(recorder)
     try:
         policy = make_policy(
-            params["policy"], params["delta"], incremental=params["incremental"]
+            params["policy"],
+            params["delta"],
+            incremental=params["engine"] != "reference",
         )
         shard = SessionShard(
             shard_id,
@@ -301,12 +303,11 @@ class WorkerShardedSession:
         journal_path: str,
         shards: int = 1,
         speed: int = 1,
-        incremental: bool = True,
         max_pending: int = 10_000,
         weights: Sequence[int | float] | None = None,
         telemetry: Recorder | None = None,
         name: str = "serve",
-        engine: str | None = None,
+        engine: str = "incremental",
         retries: int = 2,
         timeout: float = 30.0,
         backoff_seed: int = 0,
@@ -326,8 +327,7 @@ class WorkerShardedSession:
         self.n = n
         self.delta = delta
         self.speed = speed
-        self.engine = resolve_engine(engine, incremental=incremental)
-        self.incremental = self.engine != "reference"
+        self.engine = resolve_engine(engine)
         self.max_pending = max_pending
         self.capacities = split_capacity(n, shards, weights)
         self.journal_path = journal_path
@@ -342,7 +342,6 @@ class WorkerShardedSession:
             "delta": delta,
             "policy": policy,
             "speed": speed,
-            "incremental": self.incremental,
             "engine": self.engine,
             "name": name,
             # Children mirror the parent's recording decision so their

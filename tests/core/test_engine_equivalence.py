@@ -1,17 +1,18 @@
-"""Three-way differential-testing oracle: reference × incremental × array.
+"""Differential-testing oracle through the registry: reference × incremental.
 
-Every workload here is built ONCE and run through all three engines (job
+Every workload here is built ONCE and run through both engines (job
 uids come from a process-global counter, so the engines must see the same
 ``Instance``), and every component of the run — ledger, schedule, event
 log, executed/dropped uid sets — must match byte for byte.  This is the
 contract that lets the perf harness claim speedups on identical
-behaviour, and it is deliberately redundant with the pairwise suite in
-``tests/policies/test_incremental_equivalence.py``: a bug that slips past
-one engine pair still has to agree with the third.
+behaviour.  It overlaps the pairwise suite in
+``tests/policies/test_incremental_equivalence.py`` on purpose: this one
+goes through :func:`repro.core.engine.make_simulator`, the constructor
+the CLI, the perf harness and the serve layer use.
 
-The cross-process leg re-runs a string-colored three-way comparison in a
-fresh subprocess per ``PYTHONHASHSEED`` in {1, 7, 1234}: string colors
-hash differently under every seed, so any raw-set iteration order leaking
+The cross-process leg re-runs a string-colored comparison in a fresh
+subprocess per ``PYTHONHASHSEED`` in {1, 7, 1234}: string colors hash
+differently under every seed, so any raw-set iteration order leaking
 into a schedule diverges here even if the in-process legs agree.
 """
 
@@ -41,8 +42,8 @@ from repro.workloads.scenarios import (
 )
 
 
-def _three_way(instance, make_pol, n, speed=1):
-    """Run ``instance`` on all three engines; assert full bit-identity."""
+def _two_way(instance, make_pol, n, speed=1):
+    """Run ``instance`` on both engines; assert full bit-identity."""
     runs = {}
     for engine in ENGINES:
         sim = make_simulator(
@@ -54,16 +55,12 @@ def _three_way(instance, make_pol, n, speed=1):
         )
         assert engine_of(sim) == engine
         runs[engine] = sim.run()
-    ref = runs["reference"]
-    for engine in ("incremental", "array"):
-        other = runs[engine]
-        assert other.ledger.summary() == ref.ledger.summary(), engine
-        assert other.schedule.to_json() == ref.schedule.to_json(), engine
-        assert [repr(e) for e in other.events] == [
-            repr(e) for e in ref.events
-        ], engine
-        assert sorted(other.executed_uids) == sorted(ref.executed_uids)
-        assert sorted(other.dropped_uids) == sorted(ref.dropped_uids)
+    ref, inc = runs["reference"], runs["incremental"]
+    assert inc.ledger.summary() == ref.ledger.summary()
+    assert inc.schedule.to_json() == ref.schedule.to_json()
+    assert [repr(e) for e in inc.events] == [repr(e) for e in ref.events]
+    assert sorted(inc.executed_uids) == sorted(ref.executed_uids)
+    assert sorted(inc.dropped_uids) == sorted(ref.dropped_uids)
     digests = {result_digest(run) for run in runs.values()}
     assert len(digests) == 1
     return digests.pop()
@@ -75,15 +72,11 @@ def _policy(name, delta):
 
 class TestRegistry:
     def test_engines_tuple(self):
-        assert ENGINES == ("reference", "incremental", "array")
+        assert ENGINES == ("reference", "incremental")
 
-    def test_resolve_engine_name_wins(self):
-        assert resolve_engine("array", incremental=False) == "array"
-
-    def test_resolve_engine_maps_legacy_bool(self):
-        assert resolve_engine(None, incremental=True) == "incremental"
-        assert resolve_engine(None, incremental=False) == "reference"
-        assert resolve_engine(None) == "incremental"
+    def test_resolve_engine_keeps_registry_names(self):
+        for name in ENGINES:
+            assert resolve_engine(name) == name
 
     def test_resolve_engine_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown engine"):
@@ -118,26 +111,26 @@ class TestEseriesWorkloads:
         inst = datacenter_workload(
             num_services=8, horizon=256, delta=8, seed=seed
         )
-        _three_way(inst, _policy("dlru-edf", 8), n=16)
+        _two_way(inst, _policy("dlru-edf", 8), n=16)
 
     def test_router(self):
         inst = router_workload(num_classes=6, horizon=256, delta=4, seed=1)
-        _three_way(inst, _policy("dlru-edf", 4), n=8)
+        _two_way(inst, _policy("dlru-edf", 4), n=8)
 
     def test_background_shortterm(self):
-        # Wildly mixed delay bounds (16 vs 1024) force the buckets'
-        # lexsort merge fallback instead of the monotone append path.
+        # Wildly mixed delay bounds: rotating short bursts (bound 16)
+        # over far-deadline background work (bound 256).
         inst = background_shortterm_instance(
             delta=4, num_short=8, long_bound=256, quiet_after=128,
             background_jobs=128,
         )
-        _three_way(inst, _policy("dlru-edf", 4), n=8)
+        _two_way(inst, _policy("dlru-edf", 4), n=8)
 
     @pytest.mark.parametrize("policy", ["dlru", "edf", "static", "classic-lru",
                                         "greedy"])
     def test_all_registered_policies(self, policy):
         inst = datacenter_workload(num_services=6, horizon=192, delta=8, seed=2)
-        _three_way(inst, _policy(policy, 8), n=8)
+        _two_way(inst, _policy(policy, 8), n=8)
 
 
 class TestScalingWorkloads:
@@ -145,32 +138,33 @@ class TestScalingWorkloads:
 
     def test_scaling_horizon(self):
         inst = rate_limited_workload(num_colors=8, horizon=512, delta=4, seed=0)
-        _three_way(inst, _policy("dlru-edf", 4), n=16)
+        _two_way(inst, _policy("dlru-edf", 4), n=16)
 
     def test_scaling_colors(self):
         inst = rate_limited_workload(num_colors=64, horizon=128, delta=4, seed=0)
-        _three_way(inst, _policy("dlru-edf", 4), n=16)
+        _two_way(inst, _policy("dlru-edf", 4), n=16)
 
     def test_scaling_resources(self):
         # n far above the live job count: the reference engine scans every
-        # location, the array engine must agree while touching almost none.
+        # location, the incremental engine must agree while touching
+        # almost none.
         inst = rate_limited_workload(num_colors=16, horizon=128, delta=4, seed=0)
-        _three_way(inst, _policy("dlru-edf", 4), n=256)
+        _two_way(inst, _policy("dlru-edf", 4), n=256)
 
     def test_bursty(self):
         inst = bursty_workload(num_colors=10, horizon=192, delta=4, seed=5)
-        _three_way(inst, _policy("dlru-edf", 4), n=12)
+        _two_way(inst, _policy("dlru-edf", 4), n=12)
 
 
 class TestSpeedAndColors:
     @pytest.mark.parametrize("speed", [1, 2])
     def test_speeds(self, speed):
         inst = rate_limited_workload(num_colors=10, horizon=160, delta=4, seed=2)
-        _three_way(inst, _policy("dlru-edf", 4), n=8, speed=speed)
+        _two_way(inst, _policy("dlru-edf", 4), n=8, speed=speed)
 
     def test_seq_edf_speed2(self):
         inst = rate_limited_workload(num_colors=10, horizon=160, delta=4, seed=4)
-        _three_way(
+        _two_way(
             inst,
             lambda incremental: SeqEDFPolicy(4, incremental=incremental),
             n=8,
@@ -182,11 +176,11 @@ class TestSpeedAndColors:
         inst = _string_relabel(
             rate_limited_workload(num_colors=12, horizon=160, delta=4, seed=6)
         )
-        _three_way(inst, _policy("dlru-edf", 4), n=8, speed=speed)
+        _two_way(inst, _policy("dlru-edf", 4), n=8, speed=speed)
 
     def test_uneven_split(self):
         inst = bursty_workload(num_colors=10, horizon=160, delta=4, seed=1)
-        _three_way(
+        _two_way(
             inst,
             lambda incremental: DeltaLRUEDFPolicy(
                 4, lru_fraction=0.35, incremental=incremental
@@ -217,7 +211,7 @@ print(json.dumps(out))
 
 
 class TestHashseedLegs:
-    def test_three_way_identical_across_hash_seeds(self):
+    def test_engines_identical_across_hash_seeds(self):
         # One subprocess per PYTHONHASHSEED; every seed and every engine
         # must produce the one true digest for this workload.
         src_root = str(Path(__file__).resolve().parents[2] / "src")

@@ -435,15 +435,14 @@ class TestTelemetryNeverChangesResults:
         )
 
         case = CASES[0]
+        engine = "incremental" if incremental else "reference"
         instance = build_instance(case)
         plain = result_digest(
-            run_case(case, incremental=incremental, record_events=True,
-                     instance=instance)
+            run_case(case, engine, record_events=True, instance=instance)
         )
         with tele.recording(TelemetryRecorder(trace=io.StringIO())) as rec:
             instrumented = result_digest(
-                run_case(case, incremental=incremental, record_events=True,
-                         instance=instance)
+                run_case(case, engine, record_events=True, instance=instance)
             )
         assert instrumented == plain
         # and the run actually was observed
@@ -459,8 +458,7 @@ class TestTelemetryNeverChangesResults:
         for _ in range(2):
             buf = io.StringIO()
             with tele.recording(TelemetryRecorder(trace=buf)):
-                run_case(case, incremental=True, record_events=False,
-                         instance=instance)
+                run_case(case, record_events=False, instance=instance)
             texts.append(buf.getvalue())
         assert texts[0] == texts[1]
         kinds = [json.loads(l)["kind"] for l in texts[0].splitlines()]

@@ -45,6 +45,8 @@ class TestPerfHarness:
     def test_run_perf_digests_match(self, small_case):
         payload = perf.run_perf(scale="quick", repeats=1, check_hashseed=False)
         assert payload["schema"] == perf.SCHEMA
+        assert payload["engines"] == ["reference", "incremental"]
+        assert set(payload["host"]) == {"cpus", "python", "platform", "git_sha"}
         assert payload["all_digests_match"]
         [row] = payload["cases"]
         assert row["name"] == "smoke"

@@ -75,7 +75,7 @@ class TestExhaustiveTinyDifferential:
 
 
 POLICIES = ("dlru", "edf", "dlru-edf")
-ENGINES = ("reference", "incremental", "array")
+ENGINES = ("reference", "incremental")
 
 
 def workload_cases():

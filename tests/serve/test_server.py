@@ -85,6 +85,17 @@ class TestHandshake:
 
         with_server(test, shards=2)
 
+    def test_auto_alias_serves_as_incremental(self):
+        # `repro serve --engine auto` offers the alias; the config must
+        # accept it and the session must report the resolved name.
+        assert ServeConfig(engine="auto").engine == "incremental"
+
+        async def test(server, conn):
+            welcome = await conn.call({"type": "hello", "proto": "repro-serve-v1"})
+            assert welcome["engine"] == "incremental"
+
+        with_server(test, engine="auto")
+
     def test_wrong_proto_is_fatal(self):
         async def test(server, conn):
             reply = await conn.call({"type": "hello", "proto": "frob-v9"})
@@ -286,11 +297,10 @@ class TestHttpSidecar:
 class TestServerDeterminism:
     """The tentpole contract: live replay == offline run, bit for bit."""
 
-    @pytest.mark.parametrize("incremental", [True, False])
+    @pytest.mark.parametrize("engine", ["incremental", "reference"])
     @pytest.mark.parametrize("speed", [1, 2])
-    def test_single_shard_matches_offline_simulator_run(
-        self, incremental, speed
-    ):
+    def test_single_shard_matches_offline_simulator_run(self, engine, speed):
+        incremental = engine != "reference"
         instance = poisson_workload(delta=4, seed=23, horizon=80)
         offline = Simulator(
             instance,
@@ -310,7 +320,7 @@ class TestServerDeterminism:
         report = with_server(
             test,
             n=8, delta=4, policy="dlru-edf", shards=1, speed=speed,
-            incremental=incremental,
+            engine=engine,
         )
         assert report.digests_match is True
         assert report.server_digests[0] == result_digests(offline)

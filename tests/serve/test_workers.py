@@ -130,7 +130,7 @@ class TestParity:
         assert harness.ws.pending == harness.oracle.pending == 0
         harness.assert_identical()
 
-    @pytest.mark.parametrize("engine", ["incremental", "array"])
+    @pytest.mark.parametrize("engine", ["reference", "incremental"])
     def test_engines_match_across_the_process_boundary(self, tmp_path, engine):
         h = Harness(
             tmp_path, n=8, delta=2, policy="dlru-edf",
