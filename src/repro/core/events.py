@@ -9,7 +9,7 @@ independently-verifiable schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.core.job import Color, Job
 
@@ -59,6 +59,11 @@ class EventLog:
     def append(self, event: Event) -> None:
         if self.enabled:
             self._events.append(event)
+
+    def extend(self, events: Iterable[Event]) -> None:
+        """Append ``events`` in order (one call for a whole phase)."""
+        if self.enabled:
+            self._events.extend(events)
 
     def __len__(self) -> int:
         return len(self._events)

@@ -137,6 +137,5 @@ def _color_order_key(color: Color) -> Any:
     return (2, repr(color))
 
 
-def color_sort_key(color: Color) -> Any:
-    """Public alias of the consistent color order key."""
-    return _color_order_key(color)
+#: Public alias of the consistent color order key.
+color_sort_key = _color_order_key

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.core.job import Color
 
@@ -37,8 +38,18 @@ class CostLedger:
         """Charge ``count`` unit drop costs for color ``color`` in ``rnd``."""
         if count < 0:
             raise ValueError("drop count must be nonnegative")
+        self.charge_drops(rnd, (color,) * count)
+
+    def charge_drops(self, rnd: int, colors: Sequence[Color]) -> None:
+        """Charge one unit drop cost per entry of ``colors`` in ``rnd``.
+
+        The simulator passes one color per dropped job, in drop order; the
+        per-color counter sees them in that order, exactly as one
+        :meth:`charge_drop` per job would.
+        """
+        count = len(colors)
         self.drop_count += count
-        self.drops_per_color[color] += count
+        self.drops_per_color.update(colors)
         self.drops_per_round[rnd] += count
 
     @property

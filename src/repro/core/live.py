@@ -31,7 +31,7 @@ Violations raise :class:`LiveSequenceError` carrying a machine-readable
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from repro.core.job import Color, Job
 from repro.core.request import Instance, Request
@@ -45,6 +45,15 @@ class LiveSequenceError(ValueError):
     def __init__(self, reason: str, message: str):
         super().__init__(message)
         self.reason = reason
+
+
+def _bound_conflict(color: Color, prev: int, delay_bound: int) -> LiveSequenceError:
+    """The refusal of a job whose color is held to delay bound ``prev``."""
+    return LiveSequenceError(
+        "inconsistent_delay_bound",
+        f"color {color!r} is registered with delay bound {prev}, "
+        f"got {delay_bound}",
+    )
 
 
 class LiveSequence:
@@ -134,21 +143,45 @@ class LiveSequence:
             )
         prev = self._bounds.get(color)
         if prev is not None and prev != delay_bound:
-            raise LiveSequenceError(
-                "inconsistent_delay_bound",
-                f"color {color!r} is registered with delay bound {prev}, "
-                f"got {delay_bound}",
-            )
+            raise _bound_conflict(color, prev, delay_bound)
 
     def push(self, job: Job) -> None:
         """Admit one job for its arrival round (must not be in the past)."""
-        self.check(job.color, job.arrival, job.delay_bound)
-        self._bounds.setdefault(job.color, job.delay_bound)
-        self._buckets.setdefault(job.arrival, []).append(job)
-        self._buffered += 1
-        self._pushed += 1
-        if job.deadline > self._max_deadline:
-            self._max_deadline = job.deadline
+        self.push_many((job,))
+
+    def push_many(self, jobs: Sequence[Job]) -> None:
+        """Admit a batch in order, all of it or none of it.
+
+        Each job must pass :meth:`check` with the delay bounds of the jobs
+        before it in the batch already registered — the rules one
+        :meth:`push` per job applies.  On the first violation this raises
+        that job's :class:`LiveSequenceError` and changes nothing.
+        """
+        check = self.check
+        fresh: dict[Color, int] = {}
+        for job in jobs:
+            color = job.color
+            bound = job.delay_bound
+            check(color, job.arrival, bound)
+            prev = fresh.setdefault(color, bound)
+            if prev != bound:
+                raise _bound_conflict(color, prev, bound)
+        self._bounds.update(fresh)
+        buckets = self._buckets
+        max_deadline = self._max_deadline
+        for job in jobs:
+            arrival = job.arrival
+            bucket = buckets.get(arrival)
+            if bucket is None:
+                buckets[arrival] = [job]
+            else:
+                bucket.append(job)
+            deadline = arrival + job.delay_bound
+            if deadline > max_deadline:
+                max_deadline = deadline
+        self._max_deadline = max_deadline
+        self._buffered += len(jobs)
+        self._pushed += len(jobs)
 
     def close(self) -> None:
         """Refuse all further pushes (already-buffered rounds still deliver)."""

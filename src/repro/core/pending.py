@@ -9,6 +9,10 @@ Executed jobs are removed lazily: execution marks the uid as done, and the
 heap discards stale entries when popped.  This keeps both execution and drop
 operations logarithmic without heap surgery.
 
+A heap entry is ``(deadline, delay_bound, color key, uid, job)``: the
+fields of :meth:`Job.sort_key <repro.core.job.Job.sort_key>` followed by
+the job, so entries order exactly as the jobs' sort keys do.
+
 The store additionally maintains a cached nonidle-color set, updated on
 every add/pop/drop instead of rescanning the pools, plus a consumable
 *idle-flip* feed: the set of colors whose idleness changed since the last
@@ -21,7 +25,7 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Iterator
 
-from repro.core.job import Color, Job
+from repro.core.job import Color, Job, color_sort_key
 from repro.telemetry.recorder import Recorder, get_recorder
 
 #: Signature of the idle-transition listener a pool reports to.
@@ -35,7 +39,7 @@ class PendingPool:
 
     def __init__(self, color: Color, listener: IdleListener | None = None):
         self.color = color
-        self._heap: list[tuple[tuple, Job]] = []
+        self._heap: list[tuple] = []
         self._done: set[int] = set()
         #: uids currently pending (heap entries minus lazily-removed ones).
         self._members: set[int] = set()
@@ -43,10 +47,16 @@ class PendingPool:
         self._listener = listener
 
     def add(self, job: Job) -> None:
-        if job.color != self.color:
-            raise ValueError(f"job color {job.color!r} != pool color {self.color!r}")
-        heapq.heappush(self._heap, (job.sort_key(), job))
-        self._members.add(job.uid)
+        color = job.color
+        if color != self.color:
+            raise ValueError(f"job color {color!r} != pool color {self.color!r}")
+        bound = job.delay_bound
+        uid = job.uid
+        heapq.heappush(
+            self._heap,
+            (job.arrival + bound, bound, color_sort_key(color), uid, job),
+        )
+        self._members.add(uid)
         self._live += 1
         if self._live == 1 and self._listener is not None:
             self._listener(self.color, False)
@@ -64,14 +74,15 @@ class PendingPool:
 
     def _skim(self) -> None:
         """Discard executed entries from the top of the heap."""
-        while self._heap and self._heap[0][1].uid in self._done:
-            _, job = heapq.heappop(self._heap)
-            self._done.discard(job.uid)
+        heap = self._heap
+        done = self._done
+        while heap and heap[0][3] in done:
+            done.discard(heapq.heappop(heap)[3])
 
     def peek(self) -> Job | None:
         """Earliest-deadline pending job, or None if idle."""
         self._skim()
-        return self._heap[0][1] if self._heap else None
+        return self._heap[0][4] if self._heap else None
 
     def earliest_deadline(self) -> int | None:
         job = self.peek()
@@ -82,7 +93,7 @@ class PendingPool:
         self._skim()
         if not self._heap:
             raise IndexError(f"pool for color {self.color!r} is empty")
-        _, job = heapq.heappop(self._heap)
+        job = heapq.heappop(self._heap)[4]
         self._members.discard(job.uid)
         self._live -= 1
         if self._live == 0 and self._listener is not None:
@@ -116,23 +127,32 @@ class PendingPool:
         round, ``<=`` and ``==`` coincide, but ``<=`` makes the pool robust to
         sparse driving (e.g. schedule validation jumping between rounds).
         """
+        heap = self._heap
+        done = self._done
+        members = self._members
+        pop = heapq.heappop
         dropped: list[Job] = []
-        while True:
-            self._skim()
-            if not self._heap or self._heap[0][1].deadline > rnd:
+        while heap:
+            entry = heap[0]
+            if entry[3] in done:
+                done.discard(pop(heap)[3])
+            elif entry[0] > rnd:
                 break
-            _, job = heapq.heappop(self._heap)
-            self._members.discard(job.uid)
-            self._live -= 1
-            dropped.append(job)
-        if dropped and self._live == 0 and self._listener is not None:
-            self._listener(self.color, True)
+            else:
+                pop(heap)
+                members.discard(entry[3])
+                dropped.append(entry[4])
+        if dropped:
+            self._live -= len(dropped)
+            if self._live == 0 and self._listener is not None:
+                self._listener(self.color, True)
         return dropped
 
     def pending_jobs(self) -> list[Job]:
         """Snapshot of pending jobs in deadline order (test/analysis helper)."""
         self._skim()
-        live = [job for _, job in self._heap if job.uid not in self._done]
+        done = self._done
+        live = [entry[4] for entry in self._heap if entry[3] not in done]
         return sorted(live, key=Job.sort_key)
 
 
@@ -164,7 +184,10 @@ class PendingStore:
         return pool
 
     def add(self, job: Job) -> None:
-        self.pool(job.color).add(job)
+        pool = self._pools.get(job.color)
+        if pool is None:
+            pool = self.pool(job.color)
+        pool.add(job)
 
     def colors(self) -> Iterator[Color]:
         return iter(self._pools)

@@ -160,6 +160,13 @@ class Simulator:
         self.executed_uids: set[int] = set()
         self.dropped_uids: set[int] = set()
         self.round = -1
+        #: the last stepped round's dropped jobs (drop order), executed
+        #: ``(location, job)`` pairs (every mini-round, execution order)
+        #: and recolored-location count.  Replaced by each :meth:`step`;
+        #: treat as read-only.
+        self.last_dropped: list[Job] = []
+        self.last_executed: list[tuple[int, Job]] = []
+        self.last_recolored = 0
         policy.bind(self)
 
     # -- state views for policies ------------------------------------------------
@@ -222,29 +229,32 @@ class Simulator:
         tick = time.perf_counter if live else None
         t0 = tick() if live else 0.0
 
-        # Phase 1: drop.
+        # Phase 1: drop, charged in bulk.
         dropped = self.pending.drop_expired(rnd)
-        for job in dropped:
-            self.ledger.charge_drop(rnd, job.color)
-            self.dropped_uids.add(job.uid)
+        if dropped:
+            self.ledger.charge_drops(rnd, [job.color for job in dropped])
+            self.dropped_uids.update([job.uid for job in dropped])
             if self._record:
-                self.events.append(DropEvent(rnd, 0, job))
+                self.events.extend([DropEvent(rnd, 0, job) for job in dropped])
         self.policy.on_drop_phase(rnd, dropped)
+        self.last_dropped = dropped
         t1 = tick() if live else 0.0
 
         # Phase 2: arrival.
         request = self.sequence.request(rnd)
+        add = self.pending.add
         for job in request:
-            self.pending.add(job)
-            if self._record:
-                self.events.append(ArrivalEvent(rnd, 0, job))
+            add(job)
+        if self._record:
+            self.events.extend([ArrivalEvent(rnd, 0, job) for job in request])
         self.policy.on_arrival_phase(rnd, request)
         t2 = tick() if live else 0.0
 
         # Phases 3+4, repeated per mini-round.
-        num_reconfigs = num_execs = 0
         reconfig_s = execute_s = 0.0
         prev = t2
+        round_executed: list[tuple[int, Job]] = []
+        recolored = 0
         for mini in range(self.speed):
             desired = self.policy.desired_configuration(rnd, mini)
             changes = self.bank.reconfigure_to(desired, rnd, self.ledger)
@@ -252,8 +262,8 @@ class Simulator:
                 self.schedule.add_reconfig(rnd, loc, new, mini)
                 if self._record:
                     self.events.append(ReconfigEvent(rnd, mini, loc, old, new))
+            recolored += len(changes)
             if live:
-                num_reconfigs += len(changes)
                 t3 = tick()
                 reconfig_s += t3 - prev
 
@@ -279,12 +289,15 @@ class Simulator:
                     if self._record:
                         self.events.append(ExecutionEvent(rnd, mini, loc, job))
             self.policy.on_execution_phase(rnd, mini, executed)
+            round_executed += executed
             if live:
-                num_execs += len(executed)
                 prev = tick()
                 execute_s += prev - t3
+        self.last_executed = round_executed
+        self.last_recolored = recolored
 
         if live:
+            num_execs = len(round_executed)
             pending_size = self.pending.pending_count()
             telem.count("repro_rounds_total")
             telem.count("repro_mini_rounds_total", self.speed)
@@ -294,8 +307,8 @@ class Simulator:
                 telem.count("repro_arrivals_total", len(request))
             if num_execs:
                 telem.count("repro_executions_total", num_execs)
-            if num_reconfigs:
-                telem.count("repro_reconfigs_total", num_reconfigs)
+            if recolored:
+                telem.count("repro_reconfigs_total", recolored)
             telem.observe("repro_phase_seconds", t1 - t0, phase="drop")
             telem.observe("repro_phase_seconds", t2 - t1, phase="arrival")
             telem.observe("repro_phase_seconds", reconfig_s, phase="reconfig")
@@ -308,7 +321,7 @@ class Simulator:
                     "mini_rounds": self.speed,
                     "arrivals": len(request),
                     "executions": num_execs,
-                    "recolored": num_reconfigs,
+                    "recolored": recolored,
                     "pending": pending_size,
                     "ledger": ledger_round_delta(self.ledger, rnd),
                 })

@@ -175,11 +175,14 @@ def replay_shard(
     stepped = 0
     for op, payload in replay_ops(records):
         if op == "submit":
-            for job in payload:  # type: ignore[union-attr]
-                if shard_of(job.color, shards) == shard.shard_id:
-                    shard.live.push(job)
-                    if meter is not None:
-                        meter.debit((job,))
+            mine = [
+                job
+                for job in payload  # type: ignore[union-attr]
+                if shard_of(job.color, shards) == shard.shard_id
+            ]
+            shard.live.push_many(mine)
+            if meter is not None:
+                meter.debit(mine)
         elif op == "round":
             shard.step(payload)  # type: ignore[arg-type]
             stepped += 1

@@ -123,10 +123,12 @@ def job_to_wire(job: Job) -> dict:
     }
 
 
-def _int_field(obj: Mapping, key: str, *, minimum: int) -> int:
-    value = obj[key]
+def _int_field(value: object, key: str, minimum: int) -> int:
+    """``value`` as the integer job field ``key``, or a ``bad_job`` error."""
     # bool is an int subclass; a job with delay_bound=true is a client bug.
-    if isinstance(value, bool) or not isinstance(value, int):
+    if type(value) is not int and (
+        isinstance(value, bool) or not isinstance(value, int)
+    ):
         raise ProtocolError("bad_job", f"job field {key!r} must be an integer")
     if value < minimum:
         raise ProtocolError(
@@ -141,28 +143,35 @@ def job_from_wire(obj: object, default_arrival: int) -> Job:
     ``arrival`` defaults to ``default_arrival`` (the session's next
     round) so fire-and-forget clients can omit it; ``uid`` defaults to a
     fresh server-side id so only replay clients need to manage ids.
+
+    Exact-type tests come first (``type(x) is dict``/``int``), so the
+    JSON objects every client sends skip the ABC checks; int and str
+    colors need no decoding.
     """
-    if not isinstance(obj, Mapping):
+    if type(obj) is not dict and not isinstance(obj, Mapping):
         raise ProtocolError("bad_job", "each job must be a JSON object")
-    if "color" not in obj or obj["color"] is None:
+    color = obj.get("color")
+    if color is None:
         raise ProtocolError("bad_job", "job is missing a non-null 'color'")
     if "delay_bound" not in obj:
         raise ProtocolError("bad_job", "job is missing 'delay_bound'")
-    delay_bound = _int_field(obj, "delay_bound", minimum=1)
+    delay_bound = _int_field(obj["delay_bound"], "delay_bound", 1)
+    arrival = obj.get("arrival")
     arrival = (
-        _int_field(obj, "arrival", minimum=0)
-        if "arrival" in obj and obj["arrival"] is not None
-        else default_arrival
+        default_arrival if arrival is None else _int_field(arrival, "arrival", 0)
     )
-    kwargs: dict = {}
-    if "uid" in obj and obj["uid"] is not None:
-        kwargs["uid"] = _int_field(obj, "uid", minimum=0)
+    uid = obj.get("uid")
+    if uid is not None:
+        uid = _int_field(uid, "uid", 0)
     try:
-        return Job(
-            color=decode_color(obj["color"]),
-            arrival=arrival,
-            delay_bound=delay_bound,
-            **kwargs,
-        )
+        kind = type(color)
+        if kind is not int and kind is not str:
+            color = decode_color(color)
+            # Pools, ledgers and shard routing key on the color: refuse an
+            # unhashable one (a list, an object) here, not inside the session.
+            hash(color)
+        if uid is None:
+            return Job(color, arrival, delay_bound)
+        return Job(color, arrival, delay_bound, uid)
     except (TypeError, ValueError) as exc:
         raise ProtocolError("bad_job", str(exc)) from None

@@ -25,12 +25,12 @@ changes, so a rejected batch leaves the session untouched.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.core.digest import component_digests
 from repro.core.engine import make_simulator, resolve_engine
-from repro.core.events import DropEvent, ExecutionEvent, ReconfigEvent
 from repro.core.job import Color, Job
 from repro.core.live import LiveSequence, LiveSequenceError
 from repro.core.simulator import Policy
@@ -176,27 +176,17 @@ class SessionShard:
 
     def step(self, rnd: int) -> dict:
         """Run one round; returns this shard's slice of the result frame."""
-        mark = len(self.sim.events)
-        self.sim.step(rnd)
-        executed: list[int] = []
-        dropped: list[int] = []
-        recolored = 0
-        for event in self.sim.events.since(mark):
-            if isinstance(event, ExecutionEvent):
-                executed.append(event.job.uid)
-            elif isinstance(event, DropEvent):
-                dropped.append(event.job.uid)
-            elif isinstance(event, ReconfigEvent):
-                recolored += 1
-        ledger = self.sim.ledger
+        sim = self.sim
+        sim.step(rnd)
+        ledger = sim.ledger
         cost = (
             ledger.reconfigs_per_round[rnd] * ledger.delta
             + ledger.drops_per_round[rnd]
         )
         return {
-            "executed": sorted(executed),
-            "dropped": sorted(dropped),
-            "recolored": recolored,
+            "executed": sorted([job.uid for _, job in sim.last_executed]),
+            "dropped": sorted([job.uid for job in sim.last_dropped]),
+            "recolored": sim.last_recolored,
             "cost": cost,
         }
 
@@ -316,6 +306,11 @@ class ShardedSession:
     def shard_for(self, color: Color) -> SessionShard:
         return self.shards[shard_of(color, len(self.shards))]
 
+    def _shard_ids(self, jobs: Sequence[Job]) -> list[int]:
+        """Each job's shard id, in batch order."""
+        num = len(self.shards)
+        return [shard_of(job.color, num) for job in jobs]
+
     def validate(self, jobs: Sequence[Job], trace: str | None = None) -> None:
         """Phase 1 of admission: check every rule, touch no state.
 
@@ -341,16 +336,17 @@ class ShardedSession:
         self.last_kept = list(jobs)
         if self._closed:
             raise AdmissionError("closed", "session is closed")
-        indexed = list(enumerate(jobs))
+        indexed: Iterable[tuple[int, Job]] = enumerate(jobs)
         if not self.tenants.empty:
-            indexed = self._plan_sheds(indexed)
+            indexed = self._plan_sheds(list(indexed))
+        sids = self._shard_ids(self.last_kept)
+        lives = [shard.live for shard in self.shards]
+        seen = self._seen_uids
         bounds: dict[Color, int] = {}
-        load: dict[int, int] = {}
         batch_uids: set[int] = set()
-        for index, job in indexed:
-            shard = self.shards[shard_of(job.color, len(self.shards))]
+        for (index, job), sid in zip(indexed, sids):
             try:
-                shard.live.check(job.color, job.arrival, job.delay_bound)
+                lives[sid].check(job.color, job.arrival, job.delay_bound)
             except LiveSequenceError as exc:
                 raise AdmissionError(
                     exc.reason, f"job {job.uid}: {exc}", index
@@ -363,14 +359,15 @@ class ShardedSession:
                     f"batch with delay bounds {prev} and {job.delay_bound}",
                     index,
                 )
-            if job.uid in self._seen_uids or job.uid in batch_uids:
+            if job.uid in seen or job.uid in batch_uids:
                 raise AdmissionError(
                     "duplicate_uid",
                     f"job uid {job.uid} was already submitted",
                     index,
                 )
             batch_uids.add(job.uid)
-            load[shard.shard_id] = load.get(shard.shard_id, 0) + 1
+        # Shards in order of first appearance in the batch.
+        load = Counter(sids)
         for shard_id, extra in load.items():
             shard = self.shards[shard_id]
             if shard.pending + extra > self.max_pending:
@@ -408,20 +405,24 @@ class ShardedSession:
     def commit(self, jobs: Sequence[Job]) -> None:
         """Phase 2 of admission: buffer a *validated* batch on its shards.
 
-        Preserves batch order within each shard.  Callers must have run
+        Preserves batch order within each shard: each shard's slice goes
+        in with one :meth:`LiveSequence.push_many
+        <repro.core.live.LiveSequence.push_many>`.  Callers must have run
         :meth:`validate` on exactly this batch with no mutation in
         between — with tenants registered that means committing
         ``last_kept``, not the raw batch; commit itself cannot fail.
         Tenant buckets are debited here (never during validation), so a
         batch another rule rejects leaves the meters untouched.
         """
+        slices: dict[int, list[Job]] = {}
+        for sid, job in zip(self._shard_ids(jobs), jobs):
+            slices.setdefault(sid, []).append(job)
         metered = not self.tenants.empty
-        for job in jobs:
-            sid = shard_of(job.color, len(self.shards))
-            self.shards[sid].live.push(job)
+        for sid, part in slices.items():
+            self.shards[sid].live.push_many(part)
             if metered:
-                self._meters[sid].debit((job,))
-        self._seen_uids.update(job.uid for job in jobs)
+                self._meters[sid].debit(part)
+        self._seen_uids.update([job.uid for job in jobs])
 
     def submit(self, jobs: Sequence[Job]) -> list[dict]:
         """Admit a batch atomically; raises :class:`AdmissionError`.

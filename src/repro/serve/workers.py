@@ -212,9 +212,9 @@ def _shard_worker_main(
         elif op == "commit":
             # Unknown seq = this worker was respawned after the batch's
             # marker hit the journal, so replay already applied it.
-            for job in batches.pop(seq, ()):
-                shard.live.push(job)
-                meter.debit((job,))
+            batch = batches.pop(seq, [])
+            shard.live.push_many(batch)
+            meter.debit(batch)
             conn.send(("ok", seq, None))
         elif op == "tick":
             if last_tick is not None and last_tick[0] == payload:

@@ -20,6 +20,16 @@ class TestEventLog:
         log.append(ArrivalEvent(0, 0, J()))
         assert len(log) == 0
 
+    def test_extend_appends_in_order_unless_disabled(self):
+        events = [ArrivalEvent(0, 0, J(1)), DropEvent(1, 0, J(2))]
+        log = EventLog()
+        log.append(ReconfigEvent(0, 0, 0, BLACK, 1))
+        log.extend(events)
+        assert list(log)[1:] == events
+        quiet = EventLog(enabled=False)
+        quiet.extend(events)
+        assert len(quiet) == 0
+
     def test_typed_views(self):
         log = EventLog()
         log.append(ArrivalEvent(0, 0, J()))

@@ -26,6 +26,20 @@ class TestCostLedger:
         assert led.drop_count == 4
         assert led.drop_cost == 4
 
+    def test_charge_drops_counts_one_per_color_entry(self):
+        batch = CostLedger(delta=2)
+        batch.charge_drops(4, ["b", "a", "b"])
+        single = CostLedger(delta=2)
+        for color in ("b", "a", "b"):
+            single.charge_drop(4, color)
+        for led in (batch, single):
+            assert led.drop_count == 3
+            assert led.drops_per_round[4] == 3
+        # Same counts in the same first-charged order (the digest's
+        # per-color table depends on it).
+        assert list(batch.drops_per_color.items()) == [("b", 2), ("a", 1)]
+        assert batch.drops_per_color == single.drops_per_color
+
     def test_negative_drop_rejected(self):
         led = CostLedger(delta=1)
         with pytest.raises(ValueError):

@@ -141,3 +141,40 @@ class TestStateViews:
         sim = Simulator(inst, PinnedPolicy([0, 0]), n=2)
         sim.step(0)
         assert sim.cached_colors() == {0: 2}
+
+
+class TestRoundViews:
+    """``last_dropped``/``last_executed``/``last_recolored`` report
+    exactly the events the round appended (the scan they replace)."""
+
+    @pytest.mark.parametrize("incremental", [True, False])
+    @pytest.mark.parametrize("speed", [1, 2])
+    def test_views_match_the_round_events(self, speed, incremental):
+        from repro.core.events import DropEvent, ExecutionEvent, ReconfigEvent
+        from repro.policies import make_policy
+
+        jobs = [
+            J(color, rnd, 1 + color % 3, uid=100 + 10 * rnd + color)
+            for rnd in range(12)
+            for color in range(rnd % 5 + 2)
+        ]
+        inst = Instance(RequestSequence(jobs), delta=2)
+        sim = Simulator(
+            inst, make_policy("edf", 2, incremental=incremental), n=2,
+            speed=speed, incremental=incremental,
+        )
+        seen = {"drops": 0, "executions": 0, "recolors": 0}
+        for rnd in range(inst.horizon):
+            mark = len(sim.events)
+            sim.step(rnd)
+            events = sim.events.since(mark)
+            drops = [e.job for e in events if isinstance(e, DropEvent)]
+            execs = [(e.location, e.job) for e in events if isinstance(e, ExecutionEvent)]
+            recolors = sum(isinstance(e, ReconfigEvent) for e in events)
+            assert sim.last_dropped == drops
+            assert sim.last_executed == execs
+            assert sim.last_recolored == recolors
+            seen["drops"] += len(drops)
+            seen["executions"] += len(execs)
+            seen["recolors"] += recolors
+        assert all(seen.values())  # the instance exercises every view

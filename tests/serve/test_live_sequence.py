@@ -90,6 +90,20 @@ class TestAdmission:
         assert live.delay_bound_of("x") is None
         assert live.num_jobs == 0
 
+    def test_push_many_checks_against_earlier_jobs_of_the_batch(self):
+        live = LiveSequence()
+        with pytest.raises(LiveSequenceError) as err:
+            live.push_many([J("x", 0, 2), J("y", 1, 1), J("x", 1, 3)])
+        assert err.value.reason == "inconsistent_delay_bound"
+        assert "registered with delay bound 2, got 3" in str(err.value)
+        # All or nothing: the two clean jobs were not admitted either.
+        assert live.num_jobs == 0
+        assert live.delay_bounds() == {}
+        live.push_many([J("x", 0, 2), J("y", 1, 1)])
+        assert live.num_jobs == live.buffered == 2
+        assert live.delay_bounds() == {"x": 2, "y": 1}
+        assert live.drain_horizon() == 3
+
 
 class TestLiveReplayDeterminism:
     """Live push-and-step must be bit-identical to the offline run."""

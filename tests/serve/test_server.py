@@ -215,6 +215,35 @@ class TestRejects:
 
         with_server(test)
 
+    @pytest.mark.parametrize(
+        "color", [[1, 2], {"x": 1}, {"t": [[1], 2]}], ids=["list", "object", "tuple-of-list"]
+    )
+    @pytest.mark.parametrize("workers", [False, True], ids=["single", "workers"])
+    def test_unhashable_color_is_a_bad_job(self, workers, color):
+        # Such a color used to pass the decoder and then raise TypeError
+        # inside admission: asyncio logged the exception, the client got
+        # no reply and lost its connection.
+        async def test(server, conn):
+            reply = await conn.call({
+                "type": "submit", "id": 5,
+                "jobs": [wire_job("a", 2), wire_job(color, 2)],
+            })
+            assert reply["type"] == "reject"
+            assert reply["reason"] == "bad_job"
+            assert reply["id"] == 5
+            assert "unhashable" in reply["message"]
+            # Same connection, still served.
+            reply = await conn.call({"type": "submit", "jobs": [wire_job("a", 2)]})
+            assert reply["type"] == "accept"
+            result = await conn.call({"type": "tick"})
+            assert result["type"] == "result"
+            assert len(result["executed"]) == 1
+
+        if workers:
+            with_server(test, shards=2, workers=True, worker_timeout=10.0)
+        else:
+            with_server(test)
+
     def test_timer_clock_rejects_ticks(self):
         async def test(server, conn):
             reply = await conn.call({"type": "tick"})
