@@ -7,7 +7,7 @@ oracle, the reduction transforms, and the exact solver on a small instance.
 
 from repro.core.simulator import simulate
 from repro.experiments.scenario import run_e12
-from repro.offline.optimal import optimal_cost
+from repro.opt import solve_opt
 from repro.policies.dlru_edf import DeltaLRUEDFPolicy
 from repro.policies.edf import EDFPolicy
 from repro.policies.par_edf import par_edf_run
@@ -73,4 +73,4 @@ def test_exact_solver_small(benchmark):
     instance = uniform_workload(
         num_colors=3, horizon=12, delta=2, seed=0, jobs_per_round=1, max_exp=2
     )
-    benchmark(lambda: optimal_cost(instance, m=1))
+    benchmark(lambda: solve_opt(instance, 1).cost)

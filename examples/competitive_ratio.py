@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """Measuring empirical competitive ratios against the *exact* optimum.
 
-On small instances the branch-and-bound solver computes the true optimal
+On small instances the exact solver (``repro.opt.solve_opt``, a memoized
+DP whose every optimum is replay-validated) computes the true optimal
 offline cost, so the competitive ratio of Theorem 1 can be measured rather
 than bracketed.  This example sweeps load and resource augmentation.
 
@@ -10,7 +11,7 @@ Run:  python examples/competitive_ratio.py
 
 from repro.analysis.reporting import Table
 from repro.experiments.montecarlo import replicate
-from repro.offline.optimal import optimal_cost, optimal_schedule
+from repro.opt import solve_opt
 from repro.reductions.pipeline import solve_rate_limited
 from repro.workloads import rate_limited_workload
 
@@ -30,7 +31,7 @@ def main() -> None:
                 load=load, max_exp=3,
             )
             online = solve_rate_limited(instance, n=8, record_events=False)
-            return online.total_cost / optimal_cost(instance, m=1)
+            return online.total_cost / solve_opt(instance, 1).cost
 
         rep = replicate(ratio, seeds=range(6))
         table.add_row(load, rep.summary(), max(rep.values))
@@ -40,10 +41,10 @@ def main() -> None:
     instance = rate_limited_workload(
         num_colors=4, horizon=32, delta=2, seed=1, load=0.4, max_exp=3
     )
-    opt = optimal_schedule(instance, m=1)
+    opt = solve_opt(instance, 1)
     print(f"one instance in detail: OPT(m=1) = {opt.cost} "
-          f"({opt.schedule.reconfig_count()} reconfigs, "
-          f"{opt.drop_cost} drops; {opt.states_explored} search states)")
+          f"({opt.reconfig_count} reconfigs, "
+          f"{opt.drop_cost} drops; {opt.states} search states)")
 
     sweep = Table(["n", "online cost", "ratio vs OPT(1)"],
                   title="augmentation sweep on that instance")

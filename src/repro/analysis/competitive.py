@@ -3,7 +3,7 @@
 Two modes:
 
 - **exact** (small instances): ratio against the exact optimal offline cost
-  from :mod:`repro.offline.optimal`;
+  from :func:`repro.opt.solve_opt`;
 - **bracket** (any size): the true ratio lies between
   ``online / heuristic_cost`` (the window planner upper-bounds OPT) and
   ``online / lower_bound`` (Par-EDF / per-color bounds lower-bound OPT).
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from repro.core.request import Instance
 from repro.offline.bounds import opt_lower_bound
 from repro.offline.heuristic import window_planner_cost
-from repro.offline.optimal import optimal_cost
 
 
 @dataclass(frozen=True)
@@ -40,7 +39,11 @@ class RatioBracket:
 
 def empirical_ratio_exact(online_cost: int, instance: Instance, m: int) -> float:
     """``online_cost / OPT(m)`` via the exact solver (small instances)."""
-    opt = optimal_cost(instance, m)
+    # Imported here: repro.opt's dashboard imports the experiments layer,
+    # which imports this module.
+    from repro.opt.backends import solve_opt
+
+    opt = solve_opt(instance, m).cost
     if opt == 0:
         return 0.0 if online_cost == 0 else float("inf")
     return online_cost / opt

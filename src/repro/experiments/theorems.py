@@ -18,7 +18,6 @@ import statistics
 from repro.analysis.competitive import empirical_ratio_bracket, empirical_ratio_exact
 from repro.analysis.reporting import Table
 from repro.experiments.common import ExperimentResult, pick
-from repro.offline.optimal import optimal_cost
 from repro.reductions.pipeline import solve_batched, solve_online, solve_rate_limited
 from repro.workloads.generators import (
     batched_workload,
@@ -56,6 +55,10 @@ _E11_PARAMS = {
 
 def run_e3(scale: str = "quick") -> ExperimentResult:
     """Theorem 1: DeltaLRU-EDF vs exact OPT on rate-limited batched input."""
+    # Imported here, as in E11: importing repro.experiments (the serve
+    # process does) need not load the exact solver.
+    from repro.opt.backends import solve_opt
+
     p = pick(scale, _E3_PARAMS)
     m = p["m"]
     n = 8 * m
@@ -70,7 +73,7 @@ def run_e3(scale: str = "quick") -> ExperimentResult:
             seed=seed, load=p["load"], max_exp=p["max_exp"],
         )
         run = solve_rate_limited(instance, n=n, record_events=False)
-        opt = optimal_cost(instance, m)
+        opt = solve_opt(instance, m).cost
         ratio = run.total_cost / opt if opt else (0.0 if run.total_cost == 0 else float("inf"))
         ratios.append(ratio)
         table.add_row(seed, instance.sequence.num_jobs, run.total_cost, opt, ratio)
@@ -173,13 +176,15 @@ def run_e9(scale: str = "quick") -> ExperimentResult:
 
 def run_e11(scale: str = "quick") -> ExperimentResult:
     """Resource augmentation sweep: ratio vs n for fixed OPT(m)."""
+    from repro.opt.backends import solve_opt
+
     p = pick(scale, _E11_PARAMS)
     m = p["m"]
     instance = rate_limited_workload(
         num_colors=p["num_colors"], horizon=p["horizon"], delta=p["delta"],
         seed=p["seed"], load=p["load"],
     )
-    opt = optimal_cost(instance, m)
+    opt = solve_opt(instance, m).cost
     table = Table(
         ["n", "n/m", "online cost", "opt(m)", "ratio"],
         title="E11 — ratio vs resource augmentation",

@@ -1,7 +1,8 @@
 """Offline machinery.
 
-- :mod:`repro.offline.optimal` — exact optimal offline cost via memoized
-  branch-and-bound over per-round configurations (small instances);
+The exact optimum lives in :mod:`repro.opt` (``solve_opt``), which
+replay-validates every optimum it publishes.
+
 - :mod:`repro.offline.bounds` — combinatorial lower bounds on the optimal
   offline cost (any instance size);
 - :mod:`repro.offline.heuristic` — a window-planning offline heuristic whose
@@ -12,7 +13,6 @@
   schedule transformations.
 """
 
-from repro.offline.optimal import optimal_cost, optimal_schedule, OptimalResult
 from repro.offline.bounds import (
     color_lower_bound,
     drop_lower_bound,
@@ -21,9 +21,6 @@ from repro.offline.bounds import (
 from repro.offline.heuristic import window_planner_schedule, window_planner_cost
 
 __all__ = [
-    "optimal_cost",
-    "optimal_schedule",
-    "OptimalResult",
     "color_lower_bound",
     "drop_lower_bound",
     "opt_lower_bound",

@@ -1,6 +1,6 @@
 """Combinatorial lower bounds on the optimal offline cost.
 
-For instances too large for :mod:`repro.offline.optimal`, the experiments
+For instances too large for the exact solver (:mod:`repro.opt`), the experiments
 report ``online_cost / opt_lower_bound`` — an *upper bound* on the true
 empirical competitive ratio, i.e. conservative in the right direction.
 

@@ -1,196 +1,292 @@
-"""Exhaustive branch-and-bound/DP backend over the compiled model.
+"""Exhaustive memoized DP over the compiled model — the one exact-OPT search.
 
-Memoized search over ``(round, configuration multiset, pending summary)``
-states.  Exactness rests on the same structural facts the docstring of
-:mod:`repro.opt.model` records: greedy earliest-deadline execution is
-optimal once per-round configurations are fixed, candidate colors are the
-nonidle plus currently-configured ones, and a post-configuration is
-feasible iff every discarded current copy is overwritten by an added one
-(recoloring to black is never useful).
+A state is ``(round, configuration, pending)``:
 
-This is a from-scratch sibling of :mod:`repro.offline.optimal` — it
-shares the state shape but none of the code, returns per-round
-configuration plans (the decoder rebuilds the explicit schedule by
-replay) instead of reconstructing schedules itself, and is differentially
-tested against both ``repro.offline`` solvers and the z3 backend.
+- ``configuration`` is the sorted tuple of interned color ids the
+  resources hold entering the round (black omitted, at most ``m``);
+- ``pending`` is one canonical tuple ``((cid, ((deadline, count), ...)),
+  ...)``, sorted by color id and, within a color, by deadline.  Unit
+  jobs of one color and deadline are interchangeable, so the summary
+  loses nothing, and it is built sorted, so it is the memo key as is.
+
+Exactness rests on the structural facts :mod:`repro.opt.model` records:
+greedy earliest-deadline execution is optimal once per-round
+configurations are fixed; the candidate colors of a round are the
+pending ones plus the configured ones; a color never needs more than
+``max(current copies, min(pending jobs, m))`` copies; and a
+post-configuration is feasible iff every discarded copy is overwritten
+by an added one (recoloring to black is never useful), at ``Delta`` per
+added copy.
+
+Each round drops the jobs whose deadline has come, adds the round's
+arrivals, and tries every feasible post-configuration in one fixed order
+(colors ascending, multiplicities lexicographic), keeping the first of
+minimum cost.  The visited states, their order and that tie-break are a
+contract: ``Solution.states`` and the chosen configurations are pinned
+by the tests and published in ``BENCH_opt.json``.  Three tables, which
+live for one solve, keep the per-state work small without changing it:
+
+- per ``(round, pending)`` node: the drops and the post-arrival pending
+  that every configuration there shares, the child node per execution
+  vector, and the memo values and choices per configuration;
+- per ``(configuration, capped pending totals)``: the candidate list;
+- per ``(deadline counts, copies)``: what is left after execution.
+
+The search compares ``dropped + added * Delta + rest`` as it recurses.
+The published cost is recomputed from the chosen plan as
+``reconfigs * Delta + drops`` — the ledger's own formula — so the
+decoder's exact replay check holds for every ``Delta``, including
+non-dyadic floats whose sums drift in the last bit.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+import operator
+from collections import Counter
 
 from repro.opt.model import OptModel, Solution
 
-__all__ = ["solve_brute"]
+__all__ = ["SearchBudgetExceeded", "solve_brute"]
 
 
 class SearchBudgetExceeded(RuntimeError):
     """Raised when the brute backend would explore too many states."""
 
 
-def _apply_drops(pending: dict, rnd: int) -> tuple[dict, int]:
-    """Remove (and count) jobs whose deadline has arrived."""
-    dropped = 0
-    out: dict = {}
-    for cid, dl_counts in pending.items():
-        kept = tuple(item for item in dl_counts if item[0] > rnd)
-        if len(kept) != len(dl_counts):
-            dropped += sum(c for d, c in dl_counts if d <= rnd)
-        if kept:
-            out[cid] = kept
-    return out, dropped
-
-
-def _add_arrivals(pending: dict, arrivals) -> dict:
-    if not arrivals:
-        return pending
-    out = dict(pending)
-    for cid, incoming in arrivals.items():
-        existing = out.get(cid)
-        if existing is None:
-            out[cid] = incoming
-            continue
-        merged: dict[int, int] = dict(existing)
-        for deadline, count in incoming:
-            merged[deadline] = merged.get(deadline, 0) + count
-        out[cid] = tuple(sorted(merged.items()))
-    return out
-
-
-def _execute(pending: dict, config_counts: dict) -> dict:
-    """Each configured copy runs one earliest-deadline job of its color."""
-    out = dict(pending)
-    for cid, copies in config_counts.items():
-        dl_counts = out.get(cid)
-        if not dl_counts:
-            continue
-        remaining = copies
-        kept = []
-        for deadline, count in dl_counts:
-            if remaining <= 0:
-                kept.append((deadline, count))
-                continue
-            take = min(count, remaining)
-            remaining -= take
-            if count > take:
-                kept.append((deadline, count - take))
-        if kept:
-            out[cid] = tuple(kept)
+def _merge(a: tuple, b: tuple, combine) -> tuple:
+    """Merge two key-sorted ``((key, value), ...)`` tuples; equal keys combine."""
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        ka, kb = a[i][0], b[j][0]
+        if ka < kb:
+            out.append(a[i])
+            i += 1
+        elif kb < ka:
+            out.append(b[j])
+            j += 1
         else:
-            del out[cid]
-    return out
+            out.append((ka, combine(a[i][1], b[j][1])))
+            i += 1
+            j += 1
+    return (*out, *a[i:], *b[j:])
 
 
-def _candidates(
-    current: tuple, pending: dict, m: int
-) -> Iterator[tuple[tuple, dict, int]]:
-    """Yield ``(post-config key, post-config counts, copies added)``.
+def _merge_counts(a: tuple, b: tuple) -> tuple:
+    return _merge(a, b, operator.add)
 
-    A color's multiplicity is capped at ``max(current copies, min(pending,
-    m))`` — extra idle copies are pure waste; feasibility requires
-    ``discarded <= added`` (every discarded copy is overwritten).
+
+def _advance(pending: tuple, rnd: int, arrivals: tuple) -> tuple[int, tuple]:
+    """Drop the jobs due at ``rnd``, then add the round's arrivals.
+
+    Every pending deadline is at least ``rnd`` and deadlines are unique
+    within a color, so only a color's first entry can fall due.
     """
-    cur: dict[int, int] = {}
-    for cid in current:
-        cur[cid] = cur.get(cid, 0) + 1
-    colors = sorted(set(cur) | set(pending))
-    caps = [
-        min(m, max(cur.get(cid, 0),
-                   min(sum(c for _, c in pending.get(cid, ())), m)))
-        for cid in colors
-    ]
+    dropped = 0
+    kept = []
+    for cid, counts in pending:
+        if counts[0][0] <= rnd:
+            dropped += counts[0][1]
+            counts = counts[1:]
+            if not counts:
+                continue
+        kept.append((cid, counts))
+    return dropped, _merge(tuple(kept), arrivals, _merge_counts)
 
-    def assign(idx: int, remaining: int, chosen: list[int]):
-        if idx == len(colors):
-            yield tuple(chosen)
-            return
-        for mult in range(min(caps[idx], remaining) + 1):
-            chosen.append(mult)
-            yield from assign(idx + 1, remaining - mult, chosen)
-            chosen.pop()
 
-    for mults in assign(0, m, []):
-        added = discarded = 0
-        counts: dict[int, int] = {}
-        key: list[int] = []
-        for cid, mult in zip(colors, mults):
-            have = cur.get(cid, 0)
-            if mult > have:
-                added += mult - have
-            else:
-                discarded += have - mult
-            if mult:
-                counts[cid] = mult
-                key.extend([cid] * mult)
-        if discarded <= added:
-            yield tuple(key), counts, added
+def _execute_counts(counts: tuple, copies: int) -> tuple:
+    """``counts`` after ``copies`` earliest-deadline executions."""
+    for i, (deadline, count) in enumerate(counts):
+        if copies < count:
+            return ((deadline, count - copies), *counts[i + 1:])
+        copies -= count
+    return ()
+
+
+def _multiplicities(caps: list[int], budget: int) -> list[tuple]:
+    """Every ``mults`` with ``mults[i] <= caps[i]`` and ``sum <= budget``,
+    in lexicographic order."""
+    tails: list[tuple[tuple, int]] = [((), 0)]
+    for cap in reversed(caps):
+        tails = [
+            ((mult, *tail), used + mult)
+            for mult in range(cap + 1)
+            for tail, used in tails
+            if used + mult <= budget
+        ]
+    return [mults for mults, _ in tails]
+
+
+def _candidates(config: tuple, colors: tuple, capped: tuple, m: int, delta):
+    """Feasible post-configurations of ``config``, in search order.
+
+    ``colors`` are the pending colors and ``capped`` their job totals
+    capped at ``m``.  Returns ``(vectors, entries)``: each entry is
+    ``(post, added * delta, vector index)``, and ``vectors[i]`` gives the
+    copies of each pending color, the only part of ``post`` that
+    execution sees.  A post-configuration is feasible iff its copies
+    added cover its copies discarded, that is iff it holds at least
+    ``len(config)`` copies.
+    """
+    cur = Counter(config)
+    pend = dict(zip(colors, capped))
+    universe = sorted(cur.keys() | pend.keys())
+    have = [cur[cid] for cid in universe]
+    caps = [min(m, max(h, pend.get(cid, 0))) for cid, h in zip(universe, have)]
+    where = [universe.index(cid) for cid in colors]
+    vectors: dict[tuple, int] = {}
+    entries = []
+    for mults in _multiplicities(caps, m):
+        if sum(mults) < len(config):
+            continue
+        added = sum(mult - h for mult, h in zip(mults, have) if mult > h)
+        post = tuple(
+            cid for cid, mult in zip(universe, mults) for _ in range(mult)
+        )
+        vector = tuple(mults[i] for i in where)
+        index = vectors.setdefault(vector, len(vectors))
+        entries.append((post, added * delta, index))
+    return tuple(vectors), tuple(entries)
+
+
+class _Node:
+    """What every state at one ``(round, pending)`` shares."""
+
+    __slots__ = ("dropped", "after", "signature", "children", "values", "choices")
+
+    def __init__(self, dropped: int, after: tuple, m: int):
+        self.dropped = dropped
+        self.after = after
+        colors = tuple(cid for cid, _ in after)
+        capped = tuple(
+            min(m, sum(count for _, count in counts)) for _, counts in after
+        )
+        self.signature = (colors, capped)
+        self.children: dict[tuple, object] = {}
+        self.values: dict[tuple, int | float] = {}
+        self.choices: dict[tuple, tuple] = {}
+
+
+def _total(pending: tuple) -> int:
+    return sum(count for _, counts in pending for _, count in counts)
 
 
 def solve_brute(model: OptModel, max_states: int = 2_000_000) -> Solution:
     """Exact optimum of ``model`` by memoized exhaustive search.
 
     Raises :class:`SearchBudgetExceeded` past ``max_states`` memo entries
-    — the backend is for the tiny instances of the ratio dashboard and
-    the differential tests, not for production workloads.
+    — the backend is for the tiny instances of the ratio dashboard, the
+    E-series and the differential tests, not for production workloads.
     """
     horizon, m, delta = model.horizon, model.m, model.delta
-    arrivals = model.arrivals
+    arrivals = {
+        rnd: tuple(sorted(by_color.items()))
+        for rnd, by_color in model.arrivals.items()
+    }
+    nodes: dict[tuple, _Node] = {}
+    candidate_table: dict[tuple, tuple] = {}
+    exec_table: dict[tuple, tuple] = {}
+    states = 0
 
-    memo: dict[tuple, int | float] = {}
-    choice: dict[tuple, tuple] = {}
+    def node_at(rnd: int, pending: tuple) -> _Node:
+        key = (rnd, pending)
+        node = nodes.get(key)
+        if node is None:
+            dropped, after = _advance(pending, rnd, arrivals.get(rnd, ()))
+            node = nodes[key] = _Node(dropped, after, m)
+        return node
 
-    def pkey(pending: dict) -> tuple:
-        return tuple(sorted(pending.items()))
+    def execute(after: tuple, vector: tuple) -> tuple:
+        out = []
+        for (cid, counts), copies in zip(after, vector):
+            if copies:
+                key = (counts, copies)
+                left = exec_table.get(key)
+                if left is None:
+                    left = exec_table[key] = _execute_counts(counts, copies)
+                if not left:
+                    continue
+                counts = left
+            out.append((cid, counts))
+        return tuple(out)
 
-    def solve(rnd: int, config: tuple, pending: dict) -> int | float:
-        if rnd == horizon:
-            # Whatever is still pending was never executed: one drop each
-            # (their deadlines lie at or past the horizon).
-            return sum(c for dl in pending.values() for _, c in dl)
-        key = (rnd, config, pkey(pending))
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        if len(memo) >= max_states:
+    def solve(rnd: int, config: tuple, node: _Node) -> int | float:
+        nonlocal states
+        if states >= max_states:
             raise SearchBudgetExceeded(
                 f"brute backend exceeded {max_states} states on "
                 f"{model.instance.name!r} (m={m}, horizon={horizon})"
             )
-        after_drop, dropped = _apply_drops(pending, rnd)
-        after_arrivals = _add_arrivals(after_drop, arrivals.get(rnd, {}))
+        key = (config, node.signature)
+        table = candidate_table.get(key)
+        if table is None:
+            table = candidate_table[key] = _candidates(
+                config, *node.signature, m, delta
+            )
+        vectors, entries = table
+
+        # One child per execution vector: a node, or at the horizon the
+        # number of jobs left pending (one drop each).
+        nxt = rnd + 1
+        children = node.children
+        subs = []
+        for vector in vectors:
+            child = children.get(vector)
+            if child is None:
+                pending = execute(node.after, vector)
+                child = children[vector] = (
+                    _total(pending) if nxt == horizon else node_at(nxt, pending)
+                )
+            subs.append(child)
+
+        dropped = node.dropped
         best = None
         best_post: tuple = config
-        for post, counts, added in _candidates(config, after_arrivals, m):
-            sub = solve(rnd + 1, post, _execute(after_arrivals, counts))
-            total = dropped + added * delta + sub
+        for post, added_cost, index in entries:
+            child = subs[index]
+            if nxt == horizon:
+                sub = child
+            else:
+                sub = child.values.get(post)
+                if sub is None:
+                    sub = solve(nxt, post, child)
+            total = dropped + added_cost + sub
             if best is None or total < best:
                 best, best_post = total, post
         assert best is not None  # keeping the current config is always legal
-        memo[key] = best
-        choice[key] = best_post
+        node.values[config] = best
+        node.choices[config] = best_post
+        states += 1
         return best
 
-    cost = solve(0, (), {})
+    if horizon:
+        solve(0, (), node_at(0, ()))
+    # ``solve`` reaches itself through its closure; dropping the name ends
+    # that cycle, so the tables go when this call returns rather than at
+    # the next cyclic garbage collection.
+    del solve
 
-    # Replay the stored decisions to emit the per-round configuration plan.
+    # Replay the stored decisions: the per-round plan and its integer
+    # reconfiguration and drop counts.
     configs: list[tuple] = []
-    pending: dict = {}
+    reconfigs = drops = 0
+    pending: tuple = ()
     config: tuple = ()
     for rnd in range(horizon):
-        post = choice[(rnd, config, pkey(pending))]
-        after_drop, _ = _apply_drops(pending, rnd)
-        after_arrivals = _add_arrivals(after_drop, arrivals.get(rnd, {}))
-        counts: dict[int, int] = {}
-        for cid in post:
-            counts[cid] = counts.get(cid, 0) + 1
-        pending = _execute(after_arrivals, counts)
+        node = nodes[(rnd, pending)]
+        post = node.choices[config]
+        drops += node.dropped
+        reconfigs += sum((Counter(post) - Counter(config)).values())
+        colors = node.signature[0]
+        pending = execute(node.after, tuple(post.count(cid) for cid in colors))
         config = post
         configs.append(tuple(model.color_of(cid) for cid in post))
+    drops += _total(pending)
 
     return Solution(
-        cost=cost,
+        cost=reconfigs * delta + drops,
         configs=tuple(configs),
         backend="brute",
-        states=len(memo),
-        stats={"states": len(memo)},
+        states=states,
+        stats={"states": states},
     )

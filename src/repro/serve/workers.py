@@ -354,9 +354,6 @@ class WorkerShardedSession:
         self._jobs = 0
         self._max_deadline = 0
         self._pending = [0] * shards
-        #: color -> shard id (blake2b routing memoized; sessions see a
-        #: bounded palette, and every shard already keeps per-color state).
-        self._sid_cache: dict[Color, int] = {}
         self._seen_uids: set[int] = set()
         self._ready_commit: tuple[int, list[int], dict[int, int]] | None = None
         self._closed = False
@@ -656,13 +653,10 @@ class WorkerShardedSession:
         # Route and ship the sub-batches first: the workers run their
         # sequence checks while the parent does its own batch-wide pass
         # below (on multi-core hosts the two genuinely overlap).
-        sid_of = self._sid_cache
+        num = self.num_shards
         sublists: dict[int, list] = {}
         for index, job in enumerate(jobs):
-            sid = sid_of.get(job.color)
-            if sid is None:
-                sid = sid_of[job.color] = shard_of(job.color, self.num_shards)
-            sublists.setdefault(sid, []).append(
+            sublists.setdefault(shard_of(job.color, num), []).append(
                 (index, (job.color, job.arrival, job.delay_bound, job.uid))
             )
         self._seq += 1

@@ -30,8 +30,8 @@ class TestExactRatio:
             num_colors=2, horizon=8, delta=2, seed=0,
             jobs_per_round=1, max_exp=2,
         )
-        from repro.offline.optimal import optimal_cost
-        opt = optimal_cost(inst, 1)
+        from repro.opt import solve_opt
+        opt = solve_opt(inst, 1).cost
         assert empirical_ratio_exact(opt * 3, inst, 1) == pytest.approx(3.0)
 
     def test_zero_over_zero(self):
@@ -46,12 +46,12 @@ class TestExactRatio:
 class TestBracket:
     def test_brackets_exact_value(self):
         """The bracket must contain the exact ratio on solvable instances."""
-        from repro.offline.optimal import optimal_cost
+        from repro.opt import solve_opt
 
         inst = rate_limited_workload(
             num_colors=3, horizon=16, delta=2, seed=1, max_exp=2
         )
-        opt = optimal_cost(inst, 1)
+        opt = solve_opt(inst, 1).cost
         online_cost = 3 * opt  # any value; the bracket is about OPT
         bracket = empirical_ratio_bracket(online_cost, inst, 1)
         exact = online_cost / opt

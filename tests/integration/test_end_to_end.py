@@ -5,7 +5,7 @@ import pytest
 from repro.analysis.competitive import empirical_ratio_bracket, empirical_ratio_exact
 from repro.core.schedule import validate_schedule
 from repro.core.simulator import simulate
-from repro.offline.optimal import optimal_cost
+from repro.opt import solve_opt
 from repro.policies.dlru_edf import DeltaLRUEDFPolicy
 from repro.reductions.pipeline import solve_batched, solve_online, solve_rate_limited
 from repro.workloads.generators import (
@@ -96,6 +96,6 @@ class TestCrossLayerConsistency:
         inst = rate_limited_workload(
             num_colors=3, horizon=16, delta=2, seed=6, max_exp=2
         )
-        opt = optimal_cost(inst, m=4)
+        opt = solve_opt(inst, m=4).cost
         run = simulate(inst, DeltaLRUEDFPolicy(inst.delta), n=4, record_events=False)
         assert opt <= run.total_cost

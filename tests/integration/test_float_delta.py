@@ -77,16 +77,16 @@ class TestFloatDeltaPipelines:
         assert run.total_cost >= 0
 
     def test_optimal_solver_with_float_delta(self):
-        from repro.offline.optimal import optimal_cost
+        from repro.opt import solve_opt
 
         jobs = [J(0, 0, 4) for _ in range(3)]
         inst = Instance(RequestSequence(jobs), delta=2.5)
         # Reconfiguring once (2.5) beats dropping three jobs (3.0).
-        assert optimal_cost(inst, 1) == pytest.approx(2.5)
+        assert solve_opt(inst, 1).cost == pytest.approx(2.5)
 
     def test_optimal_prefers_drops_under_large_float_delta(self):
-        from repro.offline.optimal import optimal_cost
+        from repro.opt import solve_opt
 
         jobs = [J(0, 0, 4) for _ in range(3)]
         inst = Instance(RequestSequence(jobs), delta=3.5)
-        assert optimal_cost(inst, 1) == pytest.approx(3.0)
+        assert solve_opt(inst, 1).cost == pytest.approx(3.0)

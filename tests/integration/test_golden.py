@@ -15,7 +15,7 @@ import pytest
 from repro.core.simulator import simulate
 from repro.offline.bounds import opt_lower_bound
 from repro.offline.heuristic import window_planner_cost
-from repro.offline.optimal import optimal_cost
+from repro.opt import solve_opt
 from repro.policies import (
     ClassicLRUPolicy,
     DeltaLRUEDFPolicy,
@@ -106,8 +106,8 @@ class TestGoldenSolvers:
 
 class TestGoldenOffline:
     def test_exact_optimum(self, instances):
-        assert optimal_cost(instances["small"], 1) == GOLDEN["small42/opt_m1"]
-        assert optimal_cost(instances["small"], 2) == GOLDEN["small42/opt_m2"]
+        assert solve_opt(instances["small"], 1).cost == GOLDEN["small42/opt_m1"]
+        assert solve_opt(instances["small"], 2).cost == GOLDEN["small42/opt_m2"]
 
     def test_window_planner(self, instances):
         assert window_planner_cost(instances["rl"], 1) == GOLDEN["rl42/planner_m1"]

@@ -6,7 +6,7 @@ from repro.core.job import Job
 from repro.core.request import Instance, RequestSequence
 from repro.core.schedule import Schedule, validate_schedule
 from repro.offline.aggregate import aggregate_schedule
-from repro.offline.optimal import optimal_schedule
+from repro.opt import solve_opt
 from repro.reductions.distribute import distribute_sequence
 from repro.workloads.generators import batched_workload
 
@@ -16,7 +16,7 @@ def J(color, arrival, bound):
 
 
 def transform(inst, m=1):
-    opt = optimal_schedule(inst, m=m)
+    opt = solve_opt(inst, m=m)
     split = distribute_sequence(inst.sequence)
     result = aggregate_schedule(opt.schedule, inst.sequence, split)
     return opt, split, result
@@ -104,7 +104,7 @@ class TestAggregateCornerCases:
         )
         seq = RequestSequence(jobs)
         inst = Instance(seq, delta=1)
-        opt = optimal_schedule(inst, m=1)
+        opt = solve_opt(inst, m=1)
         split = distribute_sequence(seq)
         result = aggregate_schedule(opt.schedule, seq, split)
         validate_schedule(result.schedule, split, inst.delta)

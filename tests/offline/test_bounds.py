@@ -3,7 +3,7 @@
 from repro.core.job import Job
 from repro.core.request import Instance, RequestSequence
 from repro.offline.bounds import color_lower_bound, drop_lower_bound, opt_lower_bound
-from repro.offline.optimal import optimal_cost
+from repro.opt import solve_opt
 from repro.workloads.generators import rate_limited_workload, uniform_workload
 
 
@@ -57,10 +57,10 @@ class TestOptLowerBound:
                 jobs_per_round=1, max_exp=2,
             )
             for m in (1, 2):
-                assert opt_lower_bound(inst, m) <= optimal_cost(inst, m)
+                assert opt_lower_bound(inst, m) <= solve_opt(inst, m).cost
 
     def test_sound_on_rate_limited(self):
         inst = rate_limited_workload(
             num_colors=3, horizon=16, delta=2, seed=1, max_exp=2
         )
-        assert opt_lower_bound(inst, 1) <= optimal_cost(inst, 1)
+        assert opt_lower_bound(inst, 1) <= solve_opt(inst, 1).cost

@@ -6,7 +6,7 @@ from repro.core.job import Job
 from repro.core.request import Instance, RequestSequence
 from repro.core.schedule import validate_schedule
 from repro.offline.heuristic import window_planner_cost, window_planner_schedule
-from repro.offline.optimal import optimal_cost
+from repro.opt import solve_opt
 from repro.workloads.generators import rate_limited_workload, uniform_workload
 
 
@@ -41,7 +41,7 @@ class TestWindowPlanner:
                 num_colors=3, horizon=10, delta=2, seed=seed,
                 jobs_per_round=1, max_exp=2,
             )
-            assert window_planner_cost(inst, 1) >= optimal_cost(inst, 1)
+            assert window_planner_cost(inst, 1) >= solve_opt(inst, 1).cost
 
     def test_keeps_configured_colors_across_windows(self):
         jobs = [J(0, a, 4) for a in (0, 4, 8, 12) for _ in range(3)]

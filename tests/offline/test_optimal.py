@@ -1,11 +1,12 @@
-"""Unit tests for the exact optimal offline solver."""
+"""Unit tests for the exact offline optimum (:func:`repro.opt.solve_opt`):
+exact values, the validated schedule and its cost breakdown, guards."""
 
 import pytest
 
 from repro.core.job import Job
 from repro.core.request import Instance, RequestSequence
 from repro.core.schedule import validate_schedule
-from repro.offline.optimal import SearchBudgetExceeded, optimal_cost, optimal_schedule
+from repro.opt import SearchBudgetExceeded, solve_opt
 
 
 def inst_of(jobs, delta=2):
@@ -18,26 +19,26 @@ def J(color, arrival, bound):
 
 class TestExactValues:
     def test_empty_instance_costs_nothing(self):
-        assert optimal_cost(inst_of([]), m=1) == 0
+        assert solve_opt(inst_of([]), m=1).cost == 0
 
     def test_single_job_costs_min_of_delta_and_drop(self):
         # One job: either configure (delta) or drop (1).
-        assert optimal_cost(inst_of([J(0, 0, 2)], delta=3), m=1) == 1
-        assert optimal_cost(inst_of([J(0, 0, 2)], delta=1), m=1) == 1
+        assert solve_opt(inst_of([J(0, 0, 2)], delta=3), m=1).cost == 1
+        assert solve_opt(inst_of([J(0, 0, 2)], delta=1), m=1).cost == 1
 
     def test_many_jobs_justify_reconfiguration(self):
         jobs = [J(0, 0, 8) for _ in range(5)]
-        assert optimal_cost(inst_of(jobs, delta=3), m=1) == 3
+        assert solve_opt(inst_of(jobs, delta=3), m=1).cost == 3
 
     def test_capacity_forces_drops(self):
         # 4 jobs, deadline 2, one resource: at most 2 executions.
         jobs = [J(0, 0, 2) for _ in range(4)]
-        assert optimal_cost(inst_of(jobs, delta=1), m=1) == 1 + 2
+        assert solve_opt(inst_of(jobs, delta=1), m=1).cost == 1 + 2
 
     def test_two_colors_one_resource(self):
         # Colors interleave; delta=1 so switching is cheap.
         jobs = [J(0, 0, 2), J(1, 0, 2), J(0, 2, 2), J(1, 2, 2)]
-        cost = optimal_cost(inst_of(jobs, delta=1), m=1)
+        cost = solve_opt(inst_of(jobs, delta=1), m=1).cost
         # Serve one color per batch (2 reconfigs + 2 drops) or switch within
         # batches; either way 4 is achievable and optimal here:
         # round 0: color0, round 1: color1, round 2: color0, round 3: color1
@@ -50,26 +51,26 @@ class TestExactValues:
 
     def test_second_resource_helps(self):
         jobs = [J(0, 0, 2), J(1, 0, 2), J(0, 2, 2), J(1, 2, 2)]
-        one = optimal_cost(inst_of(jobs, delta=1), m=1)
-        two = optimal_cost(inst_of(jobs, delta=1), m=2)
+        one = solve_opt(inst_of(jobs, delta=1), m=1).cost
+        two = solve_opt(inst_of(jobs, delta=1), m=2).cost
         assert two == 2  # one reconfig per color, everything served
         assert two < one
 
     def test_replication_on_one_color(self):
         # 4 jobs of one color, deadline 2, two resources: double-configure.
         jobs = [J(0, 0, 2) for _ in range(4)]
-        assert optimal_cost(inst_of(jobs, delta=1), m=2) == 2
+        assert solve_opt(inst_of(jobs, delta=1), m=2).cost == 2
 
     def test_monotone_in_m(self):
         jobs = [J(c % 3, r, 2) for r in range(0, 6, 2) for c in range(4)]
         inst = inst_of(jobs, delta=2)
-        costs = [optimal_cost(inst, m) for m in (1, 2, 3)]
+        costs = [solve_opt(inst, m).cost for m in (1, 2, 3)]
         assert costs == sorted(costs, reverse=True)
 
     def test_monotone_in_delta(self):
         jobs = [J(0, 0, 4) for _ in range(4)] + [J(1, 0, 4) for _ in range(4)]
         costs = [
-            optimal_cost(inst_of(jobs, delta=d), m=1) for d in (1, 2, 4, 8)
+            solve_opt(inst_of(jobs, delta=d), m=1).cost for d in (1, 2, 4, 8)
         ]
         assert costs == sorted(costs)
 
@@ -78,26 +79,26 @@ class TestScheduleReconstruction:
     def test_schedule_achieves_reported_cost(self):
         jobs = [J(c % 2, r, 2) for r in range(0, 8, 2) for c in range(3)]
         inst = inst_of(jobs, delta=2)
-        result = optimal_schedule(inst, m=2)
+        result = solve_opt(inst, m=2)
         led = validate_schedule(result.schedule, inst.sequence, inst.delta)
         assert led.total_cost == result.cost
 
     def test_breakdown_properties(self):
         jobs = [J(0, 0, 4) for _ in range(3)]
         inst = inst_of(jobs, delta=2)
-        result = optimal_schedule(inst, m=1)
+        result = solve_opt(inst, m=1)
         assert result.cost == result.reconfig_cost + result.drop_cost
-        assert result.states_explored > 0
+        assert result.states > 0
 
     def test_invalid_m(self):
         with pytest.raises(ValueError):
-            optimal_cost(inst_of([J(0, 0, 2)]), m=0)
+            solve_opt(inst_of([J(0, 0, 2)]), m=0)
 
     def test_budget_guard(self):
         jobs = [J(c, r, 4) for r in range(0, 16, 4) for c in range(4)]
         inst = inst_of(jobs, delta=1)
         with pytest.raises(SearchBudgetExceeded):
-            optimal_cost(inst, m=2, max_states=10)
+            solve_opt(inst, m=2, max_states=10)
 
 
 class TestAgainstBruteForceIntuition:
@@ -107,7 +108,7 @@ class TestAgainstBruteForceIntuition:
         jobs = [J(c % 3, r, 2) for r in range(0, 8, 2) for c in range(4)]
         inst = inst_of(jobs, delta=2)
         for m in (1, 2):
-            assert optimal_cost(inst, m) >= opt_lower_bound(inst, m)
+            assert solve_opt(inst, m).cost >= opt_lower_bound(inst, m)
 
     def test_never_above_heuristic(self):
         from repro.offline.heuristic import window_planner_cost
@@ -115,4 +116,4 @@ class TestAgainstBruteForceIntuition:
         jobs = [J(c % 3, r, 4) for r in range(0, 12, 4) for c in range(4)]
         inst = inst_of(jobs, delta=2)
         for m in (1, 2):
-            assert optimal_cost(inst, m) <= window_planner_cost(inst, m)
+            assert solve_opt(inst, m).cost <= window_planner_cost(inst, m)

@@ -5,7 +5,7 @@ import pytest
 from repro.core.job import Job
 from repro.core.request import Instance, RequestSequence
 from repro.core.schedule import Schedule, validate_schedule
-from repro.offline.optimal import optimal_schedule
+from repro.opt import solve_opt
 from repro.offline.punctual import (
     classify_execution,
     punctualize,
@@ -50,7 +50,7 @@ class TestSplit:
             num_colors=3, horizon=16, delta=2, seed=2,
             jobs_per_round=1, min_exp=1, max_exp=3,
         )
-        opt = optimal_schedule(inst, m=1)
+        opt = solve_opt(inst, m=1)
         parts = split_by_punctuality(opt.schedule, inst.sequence)
         total = sum(len(p.executions) for p in parts.values())
         assert total == len(opt.schedule.executions)
@@ -60,7 +60,7 @@ class TestSplit:
             num_colors=2, horizon=8, delta=1, seed=3,
             jobs_per_round=1, min_exp=1, max_exp=2,
         )
-        opt = optimal_schedule(inst, m=1)
+        opt = solve_opt(inst, m=1)
         parts = split_by_punctuality(opt.schedule, inst.sequence)
         for part in parts.values():
             assert len(part.reconfigs) == len(opt.schedule.reconfigs)
@@ -95,7 +95,7 @@ class TestPunctualizeFull:
             num_colors=3, horizon=20, delta=2, seed=seed,
             jobs_per_round=1, min_exp=1, max_exp=3,
         )
-        opt = optimal_schedule(inst, m=1)
+        opt = solve_opt(inst, m=1)
         out = punctualize(opt.schedule, inst.sequence)
         led = validate_schedule(out, inst.sequence, inst.delta)
         # Lemma 5.3: same jobs executed on 7 resources, all punctually.
@@ -113,7 +113,7 @@ class TestPunctualizeFull:
             num_colors=3, horizon=20, delta=2, seed=seed,
             jobs_per_round=1, min_exp=1, max_exp=3,
         )
-        opt = optimal_schedule(inst, m=1)
+        opt = solve_opt(inst, m=1)
         out = punctualize(opt.schedule, inst.sequence)
         base = max(opt.schedule.reconfig_count(), 1)
         # Lemma 5.3's constant: 3x (early) + 1x (punctual) + 3x (late),

@@ -1,14 +1,14 @@
 """Backend tests: exact values, registry semantics, and validation wiring.
 
-The exact-value cases mirror ``tests/offline/test_optimal.py`` so the new
-subsystem and the historical offline solver pin the same numbers.
+The exact-value cases go through ``solve_opt(backend="brute")``; the same
+numbers are pinned without a backend name in ``tests/offline/test_optimal.py``.
 """
 
 import pytest
 
 from repro.core.job import Job
 from repro.core.request import Instance, RequestSequence
-from repro.offline.optimal import optimal_cost
+from repro.workloads import poisson_workload
 from repro.opt import (
     BACKENDS,
     SearchBudgetExceeded,
@@ -21,6 +21,8 @@ from repro.opt import (
     solve_opt,
     solve_z3,
 )
+
+from tests.opt import reference_dp
 
 
 def inst_of(jobs, delta=2):
@@ -65,11 +67,12 @@ class TestExactValues:
         jobs = [J(0, 0, 2) for _ in range(4)]
         assert brute_cost(inst_of(jobs, delta=1), m=2) == 2
 
-    def test_agrees_with_offline_solver(self):
+    def test_agrees_with_reference_dp(self):
         jobs = [J(c % 3, r, 2) for r in range(0, 6, 2) for c in range(4)]
         inst = inst_of(jobs, delta=2)
         for m in (1, 2, 3):
-            assert brute_cost(inst, m) == optimal_cost(inst, m)
+            model = compile_model(inst, m)
+            assert brute_cost(inst, m) == reference_dp.solve_brute(model).cost
 
 
 class TestRegistry:
@@ -125,6 +128,32 @@ class TestValidationWiring:
         assert result.excluded_jobs == 2
         # In-model: one job, delta=1 -> configure once.
         assert result.cost == 1
+
+    def test_non_dyadic_delta_publishes_the_ledger_cost(self):
+        # The search sums dropped + added * delta + rest in recursion
+        # order; at delta = 0.1 that sum is 10.499999999999998 while the
+        # replay ledger's reconfigs * delta + drops is 10.5.  The published
+        # cost must be the ledger's, or decode rejects the optimum.
+        inst = poisson_workload(
+            num_colors=3, horizon=12, delta=0.1, seed=0, rate=0.5,
+            min_exp=0, max_exp=2,
+        )
+        result = solve_opt(inst, 1)
+        assert result.cost == 10.5
+        assert result.cost == result.reconfig_count * 0.1 + result.unserved
+
+    @pytest.mark.parametrize("delta", [0.1, 0.2, 0.3, 0.7])
+    def test_non_dyadic_deltas_validate(self, delta):
+        for m in (1, 2):
+            for seed in range(3):
+                inst = poisson_workload(
+                    num_colors=3, horizon=12, delta=delta, seed=seed,
+                    rate=0.5, min_exp=0, max_exp=2,
+                )
+                result = solve_opt(inst, m)
+                assert result.cost == (
+                    result.reconfig_count * delta + result.unserved
+                )
 
     def test_replay_engines_agree(self):
         jobs = [J(c % 2, r, 3) for r in range(0, 6, 2) for c in range(3)]

@@ -4,8 +4,9 @@ Two families:
 
 1. **Exhaustive differential testing** on tiny instances (every multiset
    of up to 3 jobs drawn from a 2-color / 4-round universe): the brute
-   backend, the historical offline DP, and — when the wheel is present —
-   the z3 backend must agree *exactly*, for m in {1, 2}.
+   backend, the exhaustive oracle (``tests/opt/exhaustive.py``), and —
+   when the wheel is present — the z3 backend must agree *exactly*, for
+   m in {1, 2}.
 2. **OPT is a true lower bound**: on seeded workloads, the optimum never
    exceeds any online policy's cost, under every round engine.
 """
@@ -17,10 +18,11 @@ import pytest
 from repro.core.job import Job
 from repro.core.request import Instance, RequestSequence
 from repro.core.simulator import simulate
-from repro.offline.optimal import optimal_cost
 from repro.opt import compile_model, have_z3, solve_brute, solve_opt, solve_z3
 from repro.policies import make_policy
 from repro.workloads import lb_adversary_workload, uniform_workload
+
+from tests.opt.exhaustive import brute_force_cost
 
 # The tiny-instance universe: colors {0, 1}, arrivals {0, 1, 2}, bounds
 # {1, 2} — every deadline lands within 4 rounds.
@@ -46,11 +48,11 @@ def tiny_instances(max_jobs=3, delta=1):
 
 class TestExhaustiveTinyDifferential:
     @pytest.mark.parametrize("m", [1, 2])
-    def test_brute_matches_offline_dp_everywhere(self, m):
+    def test_brute_matches_oracle_everywhere(self, m):
         checked = 0
         for inst in tiny_instances(max_jobs=3, delta=1):
             model = compile_model(inst, m)
-            assert solve_brute(model).cost == optimal_cost(inst, m), (
+            assert solve_brute(model).cost == brute_force_cost(inst, m), (
                 [(j.color, j.arrival, j.delay_bound)
                  for j in inst.sequence.jobs()], m,
             )
@@ -71,7 +73,7 @@ class TestExhaustiveTinyDifferential:
         # A smaller delta=2 slice: fractions of the cost trade-off differ.
         for inst in tiny_instances(max_jobs=2, delta=2):
             model = compile_model(inst, m=1)
-            assert solve_brute(model).cost == optimal_cost(inst, m=1)
+            assert solve_brute(model).cost == brute_force_cost(inst, 1)
 
 
 POLICIES = ("dlru", "edf", "dlru-edf")

@@ -1,6 +1,7 @@
 """Tests for the competitive-ratio dashboard (repro.opt.ratios)."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -113,3 +114,22 @@ class TestScales:
 
     def test_policies_are_the_dashboard_trio(self):
         assert RATIO_POLICIES == ("dlru", "edf", "dlru-edf")
+
+
+class TestCommittedArtifact:
+    """The committed ``BENCH_opt.json`` is what the code computes today."""
+
+    def test_fresh_quick_dashboard_reproduces_every_committed_cell(self):
+        root = pathlib.Path(__file__).resolve().parents[2]
+        committed = json.loads((root / "BENCH_opt.json").read_text())
+        fresh = ratio_dashboard(scale="quick", use_cache=False)
+        fields = (
+            "opt_cost", "opt_states", "opt_reconfigs", "policy_costs",
+            "ratios",
+        )
+        assert [c["workload"] for c in fresh["cells"]] == [
+            c["workload"] for c in committed["cells"]
+        ]
+        for mine, theirs in zip(fresh["cells"], committed["cells"]):
+            for field in fields:
+                assert mine[field] == theirs[field], (mine["workload"], field)

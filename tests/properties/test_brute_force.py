@@ -1,8 +1,8 @@
-"""Differential testing: branch-and-bound optimum vs brute-force oracle.
+"""Differential testing: the exact-OPT DP vs the brute-force oracle.
 
-The two solvers share no code — :mod:`repro.offline.optimal` works on
+The two solvers share no code — :mod:`repro.opt.brute` works on
 multiset states with memoization and feasibility pruning; the oracle
-enumerates raw per-resource choices.  Agreement on arbitrary micro
+(``tests/opt/exhaustive.py``) enumerates raw per-resource choices.  Agreement on arbitrary micro
 instances is the strongest correctness evidence the exact solver has.
 """
 
@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from repro.core.job import Job
 from repro.core.request import Instance, RequestSequence
-from repro.offline.brute import brute_force_cost
-from repro.offline.optimal import optimal_cost
+from repro.opt import solve_opt
 
 from tests.conftest import jobs_strategy
+from tests.opt.exhaustive import brute_force_cost
 
 micro_jobs = jobs_strategy(
     max_jobs=6, max_colors=2, max_round=3,
@@ -27,7 +27,7 @@ micro_jobs = jobs_strategy(
 @settings(max_examples=60, deadline=None)
 def test_optimal_matches_brute_force(jobs, delta, m):
     instance = Instance(RequestSequence(jobs), delta)
-    assert optimal_cost(instance, m) == brute_force_cost(instance, m)
+    assert solve_opt(instance, m).cost == brute_force_cost(instance, m)
 
 
 @given(jobs=jobs_strategy(max_jobs=5, max_colors=3, max_round=2,
@@ -36,7 +36,7 @@ def test_optimal_matches_brute_force(jobs, delta, m):
 @settings(max_examples=40, deadline=None)
 def test_optimal_matches_brute_force_three_colors(jobs, delta):
     instance = Instance(RequestSequence(jobs), delta)
-    assert optimal_cost(instance, 1) == brute_force_cost(instance, 1)
+    assert solve_opt(instance, 1).cost == brute_force_cost(instance, 1)
 
 
 class TestBruteForceDirect:

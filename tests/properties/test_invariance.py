@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.core.job import Job
 from repro.core.request import Instance, RequestSequence
 from repro.core.simulator import simulate
-from repro.offline.optimal import optimal_cost
+from repro.opt import solve_opt
 from repro.policies.dlru_edf import DeltaLRUEDFPolicy
 from repro.reductions.pipeline import solve_online
 
@@ -36,7 +36,7 @@ def test_optimal_cost_invariant_under_color_relabeling(jobs, delta, offset):
         ]),
         delta,
     )
-    assert optimal_cost(instance, 1) == optimal_cost(relabeled, 1)
+    assert solve_opt(instance, 1).cost == solve_opt(relabeled, 1).cost
 
 
 @given(jobs=tiny_jobs, delta=st.integers(1, 3))
@@ -54,7 +54,7 @@ def test_optimal_cost_invariant_under_color_reversal(jobs, delta):
         ]),
         delta,
     )
-    assert optimal_cost(instance, 1) == optimal_cost(reversed_inst, 1)
+    assert solve_opt(instance, 1).cost == solve_opt(reversed_inst, 1).cost
 
 
 @given(jobs=general_jobs, delta=st.integers(1, 3))

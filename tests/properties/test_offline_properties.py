@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from repro.core.request import Instance, RequestSequence
 from repro.core.schedule import validate_schedule
 from repro.offline.aggregate import aggregate_schedule
-from repro.offline.optimal import optimal_schedule
+from repro.opt import solve_opt
 from repro.offline.punctual import classify_execution, punctualize
 from repro.reductions.distribute import distribute_sequence
 
@@ -26,7 +26,7 @@ def test_aggregate_lemma_41_on_opt_schedules(jobs, delta):
     bounded reconfiguration blow-up (Lemmas 4.3, 4.5, 4.6)."""
     sequence = RequestSequence(jobs)
     instance = Instance(sequence, delta)
-    opt = optimal_schedule(instance, m=1)
+    opt = solve_opt(instance, m=1)
     split = distribute_sequence(sequence)
     result = aggregate_schedule(opt.schedule, sequence, split)
     validate_schedule(result.schedule, split, delta)
@@ -42,7 +42,7 @@ def test_punctualize_lemma_53_on_opt_schedules(jobs, delta):
     bounded reconfiguration blow-up (Lemma 5.3)."""
     sequence = RequestSequence(jobs)
     instance = Instance(sequence, delta)
-    opt = optimal_schedule(instance, m=1)
+    opt = solve_opt(instance, m=1)
     out = punctualize(opt.schedule, sequence)
     validate_schedule(out, sequence, delta)
     assert out.n == 7

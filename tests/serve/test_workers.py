@@ -130,6 +130,23 @@ class TestParity:
         assert harness.ws.pending == harness.oracle.pending == 0
         harness.assert_identical()
 
+    def test_equal_colors_of_different_types_route_by_shard_of(self, tmp_path):
+        # 1 and 1.0 are one dict key but two shard_of labels: a job of
+        # color 1.0 must go to shard_of(1.0)'s worker even after a job of
+        # color 1, as ShardedSession and journal replay route it.
+        assert (shard_of(1, 4), shard_of(1.0, 4)) == (0, 2)
+        h = Harness(tmp_path, shards=4, n=8, timeout=10.0)
+        try:
+            h.submit([Job(color=1, arrival=0, delay_bound=3)])
+            h.tick()
+            h.submit([Job(color=1.0, arrival=1, delay_bound=3)])
+            for _ in range(h.ws.drain_horizon() - 1):
+                h.tick()
+            assert h.ws.pending == h.oracle.pending == 0
+            h.assert_identical()
+        finally:
+            h.close()
+
     @pytest.mark.parametrize("engine", ["reference", "incremental"])
     def test_engines_match_across_the_process_boundary(self, tmp_path, engine):
         h = Harness(
