@@ -181,17 +181,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--trace", required=True, help="trace file to verify")
     p_verify.add_argument("--n", type=int, default=16)
 
-    p_perf = sub.add_parser(
-        "perf",
-        help="time the incremental engine against the reference engine and "
-        "verify their bit-identity; writes BENCH_perf.json",
-    )
-    p_perf.add_argument("--scale", default="quick", choices=["quick", "full"])
-    p_perf.add_argument("--repeats", type=int, default=3)
-    p_perf.add_argument("--out", default="BENCH_perf.json")
-    p_perf.add_argument("--no-hashseed", action="store_true",
-                        help="skip the cross-process PYTHONHASHSEED leg")
-
     p_opt = sub.add_parser(
         "opt",
         help="exact offline optimum (brute-force DP or z3) and the "
@@ -911,23 +900,6 @@ def _main(argv: Sequence[str] | None = None) -> int:
 
     if args.command == "sweep":
         return _run_sweep_command(args)
-
-    if args.command == "perf":
-        from repro.experiments.perf import render, run_perf
-
-        payload = run_perf(
-            scale=args.scale,
-            repeats=args.repeats,
-            check_hashseed=not args.no_hashseed,
-            baseline_path=args.out,
-        )
-        print(render(payload))
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {args.out}")
-        ok = payload["all_digests_match"] and payload.get("hashseed", {}).get(
-            "identical", True
-        )
-        return 0 if ok else 1
 
     if args.command == "solve":
         from contextlib import nullcontext

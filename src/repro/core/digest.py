@@ -5,8 +5,8 @@ the ledger (totals and per-color breakdowns), the explicit schedule, the
 event log, and the executed/dropped uid sets.  This module turns that
 tuple into SHA-256 digests.  It is the single implementation behind
 
-- the perf harness's incremental-vs-reference engine check
-  (:mod:`repro.experiments.perf`),
+- the incremental-vs-reference engine check (tier-1's engine-equivalence
+  suite and perfbench's ``solve-datacenter`` workload),
 - the telemetry never-affects-digests check, and
 - the serve determinism contract (a live replay through
   :class:`~repro.core.live.LiveSequence` and the server must reproduce

@@ -10,7 +10,7 @@ across them):
 - ``incremental`` — the object engine's hot path: index-diffed
   reconfiguration, sparse execution (``incremental=True``).
 
-The CLI, the perf harness, and the serve layer resolve engines through
+The CLI and the serve layer resolve engines through
 :func:`resolve_engine`, which is also the one place that maps the
 ``auto`` alias (kept for existing ``--engine auto`` command lines) to
 ``incremental``.

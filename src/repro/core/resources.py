@@ -14,9 +14,9 @@ sorted free (black) list, so ``reconfigure_to`` diffs the desired multiset
 against the current one in time proportional to the *changes* rather than
 rescanning all ``n`` locations every mini-round.  The original scan-based
 diff survives as ``incremental=False`` — the two modes are bit-identical
-(same change list in the same order; the property suite and the perf
-harness both enforce this), which is what lets ``benchmarks``/``repro
-perf`` report a before/after trajectory against the same digests.
+(same change list in the same order; the property suite and the
+engine-equivalence suite both enforce this), which is what lets
+``benchmarks`` report a before/after trajectory against the same digests.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ class ResourceBank:
     ``incremental`` selects the diffing algorithm inside
     :meth:`reconfigure_to`: the maintained-index diff (default) or the
     original full-scan reference.  Both produce identical change lists;
-    the flag exists so the perf harness can time old-vs-new on live runs.
+    the flag exists so the reference engine can serve as the oracle.
 
     ``telemetry`` (default: the process-global recorder) observes diff
     sizes and no-op fast-path hits; it never influences the plan.

@@ -120,8 +120,8 @@ class Simulator:
         index-diffed reconfiguration and an execution phase that only
         visits locations configured to nonidle colors.  False runs the
         historical full-scan reference engine.  Both engines are
-        bit-identical (same ledger, events, and schedule); the perf
-        harness times one against the other.
+        bit-identical (same ledger, events, and schedule); the reference
+        engine is the oracle the incremental one is tested against.
     telemetry:
         A :class:`~repro.telemetry.Recorder`.  Defaults to the
         process-global recorder (a no-op ``NullRecorder`` unless telemetry

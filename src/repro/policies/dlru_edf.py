@@ -27,7 +27,7 @@ the eligible colors) incrementally from the per-round deltas — boundary
 crossings, wraps and eligibility flips reported by the state hooks, plus
 idleness flips from the pending store's feed — instead of re-sorting every
 round.  ``incremental=False`` keeps the historical re-sort path; the two
-are bit-identical (enforced by the property suite and the perf harness).
+are bit-identical (enforced by the property and engine-equivalence suites).
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ updated from the per-round deltas (boundary crossings, wraps, eligibility
 flips from the state hooks; idleness flips from the pending store's feed)
 instead of re-sorting every eligible color each round.
 ``incremental=False`` selects the historical full re-sort — both paths are
-bit-identical, which the property suite and the perf harness enforce.
+bit-identical, which the property and engine-equivalence suites enforce.
 
 Appendix B shows EDF thrashes (reconfigures every time a short-delay color
 alternates between idle and nonidle) and is not resource competitive;

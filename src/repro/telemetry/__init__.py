@@ -15,14 +15,14 @@ the reproduction could only report end-of-run ledger totals.
 **The off switch is the contract.**  Every instrumentation site in the
 hot path is guarded by one ``enabled`` attribute read, and the default
 process-global recorder is a :class:`NullRecorder`, so a run that never
-asked for telemetry pays (almost) nothing.  The perf harness measures the
-disabled path against the PR 2 baseline and holds it under 2%.
+asked for telemetry pays (almost) nothing.
 
 **Telemetry never affects results.**  Recorders observe the engine; they
 are never consulted by it.  Ledgers, schedules, event logs — and
 therefore the bit-identity digests from PR 2 — are byte-identical with
-telemetry on or off (``tests/core/test_telemetry_digests.py`` and the
-perf harness's hashseed leg both enforce this).
+telemetry on or off (``tests/core/test_telemetry.py`` and the telemetry
+leg of ``tests/experiments/test_hashseed_determinism.py`` both enforce
+this).
 
 Usage::
 

@@ -4,11 +4,11 @@ Every workload here is built ONCE and run through both engines (job
 uids come from a process-global counter, so the engines must see the same
 ``Instance``), and every component of the run — ledger, schedule, event
 log, executed/dropped uid sets — must match byte for byte.  This is the
-contract that lets the perf harness claim speedups on identical
-behaviour.  It overlaps the pairwise suite in
+contract that makes the incremental engine a drop-in replacement for the
+reference oracle.  It overlaps the pairwise suite in
 ``tests/policies/test_incremental_equivalence.py`` on purpose: this one
 goes through :func:`repro.core.engine.make_simulator`, the constructor
-the CLI, the perf harness and the serve layer use.
+the CLI and the serve layer use.
 
 The cross-process leg re-runs a string-colored comparison in a fresh
 subprocess per ``PYTHONHASHSEED`` in {1, 7, 1234}: string colors hash
@@ -16,18 +16,11 @@ differently under every seed, so any raw-set iteration order leaking
 into a schedule diverges here even if the in-process legs agree.
 """
 
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
 from repro.core.digest import result_digest
 from repro.core.engine import ENGINES, engine_of, make_simulator, resolve_engine
 from repro.core.simulator import simulate
-from repro.experiments.perf import _string_relabel
 from repro.policies import make_policy
 from repro.policies.dlru_edf import DeltaLRUEDFPolicy
 from repro.policies.edf import SeqEDFPolicy
@@ -40,6 +33,7 @@ from repro.workloads.scenarios import (
     datacenter_workload,
     router_workload,
 )
+from tests.core.hashseed import HASHSEED_SEEDS, run_child, string_relabel
 
 
 def _two_way(instance, make_pol, n, speed=1):
@@ -106,10 +100,15 @@ class TestRegistry:
 class TestEseriesWorkloads:
     """The scenario workloads behind E10/E12 and the lemma experiments."""
 
-    @pytest.mark.parametrize("seed", [0, 7])
-    def test_datacenter(self, seed):
+    @pytest.mark.parametrize("seed,horizon", [
+        pytest.param(0, 256, id="0"),
+        pytest.param(7, 256, id="7"),
+        # E12's quick instance.
+        pytest.param(0, 2048, id="0-2048"),
+    ])
+    def test_datacenter(self, seed, horizon):
         inst = datacenter_workload(
-            num_services=8, horizon=256, delta=8, seed=seed
+            num_services=8, horizon=horizon, delta=8, seed=seed
         )
         _two_way(inst, _policy("dlru-edf", 8), n=16)
 
@@ -134,7 +133,7 @@ class TestEseriesWorkloads:
 
 
 class TestScalingWorkloads:
-    """Scaled-down points of the BENCH_perf scaling series."""
+    """Scaled-down points of the engine scaling series."""
 
     def test_scaling_horizon(self):
         inst = rate_limited_workload(num_colors=8, horizon=512, delta=4, seed=0)
@@ -147,9 +146,10 @@ class TestScalingWorkloads:
     def test_scaling_resources(self):
         # n far above the live job count: the reference engine scans every
         # location, the incremental engine must agree while touching
-        # almost none.
+        # almost none.  16384 is the series' largest point.
         inst = rate_limited_workload(num_colors=16, horizon=128, delta=4, seed=0)
-        _two_way(inst, _policy("dlru-edf", 4), n=256)
+        for n in (256, 16384):
+            _two_way(inst, _policy("dlru-edf", 4), n=n)
 
     def test_bursty(self):
         inst = bursty_workload(num_colors=10, horizon=192, delta=4, seed=5)
@@ -173,7 +173,7 @@ class TestSpeedAndColors:
 
     @pytest.mark.parametrize("speed", [1, 2])
     def test_string_colors(self, speed):
-        inst = _string_relabel(
+        inst = string_relabel(
             rate_limited_workload(num_colors=12, horizon=160, delta=4, seed=6)
         )
         _two_way(inst, _policy("dlru-edf", 4), n=8, speed=speed)
@@ -193,11 +193,11 @@ _CHILD = """
 import json, sys
 from repro.core.digest import result_digest
 from repro.core.engine import ENGINES, make_simulator
-from repro.experiments.perf import _string_relabel
 from repro.policies import make_policy
 from repro.workloads.generators import rate_limited_workload
+from tests.core.hashseed import string_relabel
 
-instance = _string_relabel(
+instance = string_relabel(
     rate_limited_workload(num_colors=16, horizon=192, delta=4, seed=0)
 )
 out = {}
@@ -214,21 +214,6 @@ class TestHashseedLegs:
     def test_engines_identical_across_hash_seeds(self):
         # One subprocess per PYTHONHASHSEED; every seed and every engine
         # must produce the one true digest for this workload.
-        src_root = str(Path(__file__).resolve().parents[2] / "src")
-        digests = {}
-        for seed in (1, 7, 1234):
-            env = dict(os.environ)
-            env["PYTHONHASHSEED"] = str(seed)
-            env["PYTHONPATH"] = (
-                src_root + os.pathsep + env.get("PYTHONPATH", "")
-            )
-            proc = subprocess.run(
-                [sys.executable, "-c", _CHILD],
-                capture_output=True,
-                text=True,
-                env=env,
-                check=True,
-            )
-            digests[seed] = json.loads(proc.stdout)
+        digests = {seed: run_child(_CHILD, seed) for seed in HASHSEED_SEEDS}
         flat = {d for per_seed in digests.values() for d in per_seed.values()}
         assert len(flat) == 1, digests

@@ -15,6 +15,9 @@ import re
 import pytest
 
 from repro import telemetry as tele
+from repro.core.digest import result_digest
+from repro.core.engine import make_simulator
+from repro.policies.dlru_edf import DeltaLRUEDFPolicy
 from repro.telemetry.recorder import (
     NullRecorder,
     TelemetryRecorder,
@@ -30,6 +33,12 @@ from repro.telemetry.registry import (
     parse_label_key,
     relabel_snapshot,
 )
+from repro.workloads.scenarios import datacenter_workload
+
+
+def _quick_datacenter():
+    """E12's quick datacenter instance, run at n = 16."""
+    return datacenter_workload(num_services=8, horizon=2048, delta=8, seed=0)
 
 
 class TestLabelKey:
@@ -425,40 +434,34 @@ class TestTelemetryNeverChangesResults:
     side effects — digests match with the recorder on and off, on both
     engines, including with a live trace writer."""
 
+    @staticmethod
+    def _run(instance, engine="incremental", record_events=True):
+        policy = DeltaLRUEDFPolicy(
+            instance.delta, incremental=engine != "reference"
+        )
+        return make_simulator(
+            instance, policy, 16, engine=engine, record_events=record_events
+        ).run()
+
     @pytest.mark.parametrize("incremental", [True, False])
     def test_digests_match_with_and_without_telemetry(self, incremental):
-        from repro.experiments.perf import (
-            CASES,
-            build_instance,
-            result_digest,
-            run_case,
-        )
-
-        case = CASES[0]
         engine = "incremental" if incremental else "reference"
-        instance = build_instance(case)
-        plain = result_digest(
-            run_case(case, engine, record_events=True, instance=instance)
-        )
+        instance = _quick_datacenter()
+        plain = result_digest(self._run(instance, engine))
         with tele.recording(TelemetryRecorder(trace=io.StringIO())) as rec:
-            instrumented = result_digest(
-                run_case(case, engine, record_events=True, instance=instance)
-            )
+            instrumented = result_digest(self._run(instance, engine))
         assert instrumented == plain
         # and the run actually was observed
         snap = rec.snapshot()
         assert snap["counters"]["repro_rounds_total"][""] > 0
 
     def test_trace_records_are_deterministic(self):
-        from repro.experiments.perf import CASES, build_instance, run_case
-
-        case = CASES[0]
-        instance = build_instance(case)
+        instance = _quick_datacenter()
         texts = []
         for _ in range(2):
             buf = io.StringIO()
             with tele.recording(TelemetryRecorder(trace=buf)):
-                run_case(case, record_events=False, instance=instance)
+                self._run(instance, record_events=False)
             texts.append(buf.getvalue())
         assert texts[0] == texts[1]
         kinds = [json.loads(l)["kind"] for l in texts[0].splitlines()]

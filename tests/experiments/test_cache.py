@@ -5,6 +5,7 @@ import os
 import pickle
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,8 @@ from repro.experiments.cache import (
     default_cache_dir,
 )
 from repro.experiments.runner import run_parallel
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 class TestCacheKey:
@@ -35,7 +38,7 @@ class TestCacheKey:
         # The key must not depend on PYTHONHASHSEED or interpreter state:
         # workers and later sessions must address the same cells.
         code = "from repro.experiments.cache import cache_key; print(cache_key('E3', 'full', 42))"
-        env = dict(os.environ, PYTHONHASHSEED="12345")
+        env = dict(os.environ, PYTHONHASHSEED="12345", PYTHONPATH=SRC)
         out = subprocess.run(
             [sys.executable, "-c", code], env=env,
             capture_output=True, text=True, check=True,

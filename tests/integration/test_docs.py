@@ -2,16 +2,27 @@
 
 Extract and execute the Python code blocks in README.md and docs/model.md —
 documentation that drifts from the API should fail CI, not readers.  Also
-smoke-runs the fastest examples in-process.
+smoke-runs the fastest examples in-process, and checks that every
+``repro`` subcommand and ``BENCH_*.json`` artifact the docs name exists.
 """
 
+import argparse
 import pathlib
 import re
 import runpy
 
 import pytest
 
+from repro.cli import _build_parser
+
 ROOT = pathlib.Path(__file__).resolve().parents[2]
+DOCS = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
+
+#: ``repro <cmd>`` at the start of a line or of inline code, including
+#: pipe-separated lists such as ``repro list | experiment | all``.
+COMMAND = re.compile(r"(?:^[ \t]*|`)repro ([a-z][\w-]*(?: \| [a-z][\w-]*)*)",
+                     flags=re.MULTILINE)
+ARTIFACT = re.compile(r"BENCH_\w+\.json")
 
 
 def python_blocks(path: pathlib.Path) -> list[str]:
@@ -65,3 +76,28 @@ class TestFastExamples:
         runpy.run_path(str(ROOT / "examples" / script), run_name="__main__")
         out = capsys.readouterr().out
         assert out.strip(), f"{script} produced no output"
+
+
+class TestDocsNameLiveSurfaces:
+    def test_named_subcommands_are_registered(self):
+        [sub] = [
+            action for action in _build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        missing = {
+            (doc.name, name)
+            for doc in DOCS
+            for match in COMMAND.findall(doc.read_text())
+            for name in match.split(" | ")
+            if name not in sub.choices
+        }
+        assert not missing, sorted(missing)
+
+    def test_named_artifacts_exist(self):
+        missing = {
+            (doc.name, name)
+            for doc in DOCS
+            for name in ARTIFACT.findall(doc.read_text())
+            if not (ROOT / name).exists()
+        }
+        assert not missing, sorted(missing)

@@ -4,19 +4,20 @@ Each test builds one instance (job uids come from a process-global counter,
 so both engines must see the *same* ``Instance``) and runs it through both
 ``incremental=True`` and ``incremental=False``.  The ledger, the schedule,
 the event log, and the executed/dropped uid sets must match exactly — this
-is the contract that lets ``BENCH_perf.json`` claim a speedup on identical
-behaviour.
+is the contract that makes the incremental engine a drop-in replacement
+for the reference oracle.
 """
 
 import pytest
 
+from repro.core.digest import result_digest
 from repro.core.simulator import simulate
-from repro.experiments.perf import result_digest
 from repro.policies.dlru import DeltaLRUPolicy
 from repro.policies.dlru_edf import DeltaLRUEDFPolicy
 from repro.policies.edf import EDFPolicy, SeqEDFPolicy
 from repro.workloads.generators import bursty_workload, rate_limited_workload
 from repro.workloads.scenarios import datacenter_workload
+from tests.core.hashseed import string_relabel
 
 
 def _assert_equivalent(instance, make_policy, n, speed=1):
@@ -85,9 +86,7 @@ def test_dlru_equivalent(seed):
 def test_string_colors_equivalent():
     # String colors hash by PYTHONHASHSEED; any raw-set iteration on either
     # engine path would break this in-process comparison too.
-    from repro.experiments.perf import _string_relabel
-
-    inst = _string_relabel(
+    inst = string_relabel(
         rate_limited_workload(num_colors=12, horizon=160, delta=4, seed=4)
     )
     _assert_equivalent(
