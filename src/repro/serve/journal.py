@@ -47,7 +47,7 @@ from typing import Iterable, Sequence
 from repro.core.job import Job
 from repro.serve.protocol import job_from_wire, job_to_wire
 from repro.serve.session import SessionShard, ShardedSession, shard_of
-from repro.serve.tenants import ShardTenantMeter, TenantContract, shard_shares
+from repro.serve.tenants import TenantContract
 from repro.utils.jsonl import read_jsonl
 
 __all__ = [
@@ -157,7 +157,6 @@ def replay_shard(
     records: Iterable[dict],
     shard: SessionShard,
     shards: int,
-    meter: ShardTenantMeter | None = None,
 ) -> int:
     """Rebuild one shard's state from the journal; returns rounds stepped.
 
@@ -166,39 +165,20 @@ def replay_shard(
     colors with the same :func:`shard_of` routing the live server uses,
     and rounds are stepped in journal order, so the rebuilt simulator's
     component digests are byte-identical to an uninterrupted run.
-
-    With ``meter`` supplied, tenant registrations re-install this shard's
-    share and the token buckets are replayed too: marked submits only
-    ever contain admitted jobs (sheds never reach the journal), so the
-    debit/refill fold lands on exactly the live meter's token counts.
+    Tenant registrations do not touch a shard: metering happens at
+    admission, and marked submits hold only the jobs it admitted.
     """
     stepped = 0
     for op, payload in replay_ops(records):
         if op == "submit":
-            mine = [
+            shard.live.push_many([
                 job
                 for job in payload  # type: ignore[union-attr]
                 if shard_of(job.color, shards) == shard.shard_id
-            ]
-            shard.live.push_many(mine)
-            if meter is not None:
-                meter.debit(mine)
+            ])
         elif op == "round":
             shard.step(payload)  # type: ignore[arg-type]
             stepped += 1
-            if meter is not None:
-                meter.refill()
-        else:  # tenant registration
-            contract = TenantContract.from_dict(payload)  # type: ignore[arg-type]
-            shares = shard_shares(contract, shards)
-            if meter is not None and shard.shard_id in shares:
-                rate, burst = shares[shard.shard_id]
-                colors = [
-                    c
-                    for c in contract.colors
-                    if shard_of(c, shards) == shard.shard_id
-                ]
-                meter.register(contract.name, colors, rate, burst)
     return stepped
 
 

@@ -20,6 +20,10 @@ Admission is atomic per submit batch: every job is validated against
 every rule (round staleness, delay-bound consistency including within
 the batch, per-shard backpressure, duplicate uids) before any state
 changes, so a rejected batch leaves the session untouched.
+:class:`AdmissionGate` is that one admission implementation; both
+:class:`ShardedSession` and the multi-process
+:class:`~repro.serve.workers.WorkerShardedSession` run it in the
+frontend.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
+from repro.core.bdr import exact_fraction
 from repro.core.digest import component_digests
 from repro.core.engine import make_simulator, resolve_engine
 from repro.core.job import Color, Job
@@ -45,6 +50,7 @@ from repro.telemetry.recorder import Recorder
 
 __all__ = [
     "AdmissionError",
+    "AdmissionGate",
     "SessionShard",
     "ShardedSession",
     "shard_of",
@@ -215,61 +221,48 @@ class SessionShard:
         }
 
 
-class ShardedSession:
-    """``S`` lockstep shards behind one admission gate and round clock.
+class AdmissionGate:
+    """Submit admission, shared by both session classes.
 
-    ``policy_factory`` is called once per shard (policies carry run
-    state, so shards must not share one instance).  ``max_pending``
-    bounds each shard's in-flight jobs (pending in the simulator plus
-    buffered for future rounds); a submit that would push any target
-    shard over the bound is rejected whole with reason ``backpressure``.
+    Holds everything a submit is checked against: one
+    :class:`~repro.core.live.LiveSequence` per shard (``_lives``), the
+    tenant directory and per-shard token-bucket meters, the seen-uid set
+    and per-shard in-flight counts (backpressure).  :class:`ShardedSession`
+    passes its shards' own live sequences; ``WorkerShardedSession`` passes
+    frontend mirrors that advance with ``request(rnd)`` at every tick
+    while its workers hold the real ones.  Either way one implementation
+    decides every accept, reject and shed, so the two session classes
+    agree by construction.
     """
 
     def __init__(
         self,
-        n: int,
+        lives: Sequence[LiveSequence],
+        capacities: Sequence[int],
+        speed: int,
         delta: int | float,
-        policy_factory: Callable[[], Policy],
-        shards: int = 1,
-        speed: int = 1,
-        max_pending: int = 10_000,
-        weights: Sequence[int | float] | None = None,
-        telemetry: Recorder | None = None,
-        name: str = "serve",
-        engine: str = "incremental",
+        max_pending: int,
     ):
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
-        self.n = n
-        self.delta = delta
-        self.speed = speed
-        self.engine = resolve_engine(engine)
         self.max_pending = max_pending
-        self.capacities = split_capacity(n, shards, weights)
-        self.shards = [
-            SessionShard(
-                i,
-                cap,
-                delta,
-                policy_factory(),
-                speed=speed,
-                telemetry=telemetry,
-                name=name,
-                engine=self.engine,
-            )
-            for i, cap in enumerate(self.capacities)
-        ]
+        self._lives = list(lives)
+        #: jobs committed to each shard and not yet executed or dropped.
+        self._in_flight = [0] * len(self._lives)
         self._seen_uids: set[int] = set()
         self._closed = False
+        #: kept-job count of the last successful validate; None once
+        #: committed (or after a failed validate).
+        self._validated: int | None = None
         #: registration-time tenant admission (BDR composition against the
-        #: shard capacities above) plus per-tenant counters.
+        #: shard capacities) plus per-tenant counters.
         self.tenants = TenantDirectory(
-            shards=len(self.shards),
-            capacities=self.capacities,
+            shards=len(self._lives),
+            capacities=capacities,
             speed=speed,
-            delta=int(delta),
+            delta=exact_fraction(delta),
         )
-        self._meters = [ShardTenantMeter() for _ in self.shards]
+        self._meters = [ShardTenantMeter() for _ in self._lives]
         #: jobs shed from the last successful validate
         #: (``{"index", "uid", "tenant"}``, sorted by batch index) and the
         #: jobs that survived it, in batch order.  With no tenants
@@ -288,27 +281,24 @@ class ShardedSession:
 
     @property
     def num_shards(self) -> int:
-        return len(self.shards)
+        return len(self._lives)
 
     @property
     def round(self) -> int:
         """The next round to tick (all shards advance in lockstep)."""
-        return self.shards[0].live.next_round
+        return self._lives[0].next_round
 
     @property
     def pending(self) -> int:
-        return sum(shard.pending for shard in self.shards)
+        return sum(self._in_flight)
 
     @property
     def closed(self) -> bool:
         return self._closed
 
-    def shard_for(self, color: Color) -> SessionShard:
-        return self.shards[shard_of(color, len(self.shards))]
-
     def _shard_ids(self, jobs: Sequence[Job]) -> list[int]:
         """Each job's shard id, in batch order."""
-        num = len(self.shards)
+        num = len(self._lives)
         return [shard_of(job.color, num) for job in jobs]
 
     def validate(self, jobs: Sequence[Job], trace: str | None = None) -> None:
@@ -334,13 +324,14 @@ class ShardedSession:
         self.last_admission_votes = []
         self.last_shed = []
         self.last_kept = list(jobs)
+        self._validated = None
         if self._closed:
             raise AdmissionError("closed", "session is closed")
         indexed: Iterable[tuple[int, Job]] = enumerate(jobs)
         if not self.tenants.empty:
             indexed = self._plan_sheds(list(indexed))
         sids = self._shard_ids(self.last_kept)
-        lives = [shard.live for shard in self.shards]
+        lives = self._lives
         seen = self._seen_uids
         bounds: dict[Color, int] = {}
         batch_uids: set[int] = set()
@@ -369,11 +360,11 @@ class ShardedSession:
         # Shards in order of first appearance in the batch.
         load = Counter(sids)
         for shard_id, extra in load.items():
-            shard = self.shards[shard_id]
-            if shard.pending + extra > self.max_pending:
+            held = self._in_flight[shard_id] + extra
+            if held > self.max_pending:
                 raise AdmissionError(
                     "backpressure",
-                    f"shard {shard_id} would hold {shard.pending + extra} "
+                    f"shard {shard_id} would hold {held} "
                     f"in-flight jobs (limit {self.max_pending}); retry after "
                     f"ticking",
                 )
@@ -381,6 +372,7 @@ class ShardedSession:
             {"shard": sid, "verdict": "ok", "jobs": load[sid], "trace": trace}
             for sid in sorted(load)
         ]
+        self._validated = len(sids)
 
     def _plan_sheds(self, indexed: list[tuple[int, Job]]) -> list[tuple[int, Job]]:
         """Per-shard, per-tenant shed planning (pure).  Fills ``last_shed``
@@ -388,7 +380,7 @@ class ShardedSession:
         batch order."""
         per_shard: dict[int, list[tuple[int, Job]]] = {}
         for index, job in indexed:
-            sid = shard_of(job.color, len(self.shards))
+            sid = shard_of(job.color, len(self._lives))
             per_shard.setdefault(sid, []).append((index, job))
         kept: list[tuple[int, Job]] = []
         shed: list[dict] = []
@@ -402,7 +394,7 @@ class ShardedSession:
         self.last_kept = [job for _, job in kept]
         return kept
 
-    def commit(self, jobs: Sequence[Job]) -> None:
+    def commit(self, jobs: Sequence[Job]) -> dict[int, list[Job]]:
         """Phase 2 of admission: buffer a *validated* batch on its shards.
 
         Preserves batch order within each shard: each shard's slice goes
@@ -412,17 +404,25 @@ class ShardedSession:
         between — with tenants registered that means committing
         ``last_kept``, not the raw batch; commit itself cannot fail.
         Tenant buckets are debited here (never during validation), so a
-        batch another rule rejects leaves the meters untouched.
+        batch another rule rejects leaves the meters untouched.  Returns
+        the per-shard slices, in order of first appearance.
         """
+        if self._validated is None:
+            raise RuntimeError("commit without a matching validate")
+        validated, self._validated = self._validated, None
+        if validated != len(jobs):
+            raise RuntimeError("commit batch does not match validated batch")
         slices: dict[int, list[Job]] = {}
         for sid, job in zip(self._shard_ids(jobs), jobs):
             slices.setdefault(sid, []).append(job)
         metered = not self.tenants.empty
         for sid, part in slices.items():
-            self.shards[sid].live.push_many(part)
+            self._lives[sid].push_many(part)
+            self._in_flight[sid] += len(part)
             if metered:
                 self._meters[sid].debit(part)
         self._seen_uids.update([job.uid for job in jobs])
+        return slices
 
     def submit(self, jobs: Sequence[Job]) -> list[dict]:
         """Admit a batch atomically; raises :class:`AdmissionError`.
@@ -445,7 +445,7 @@ class ShardedSession:
         placement.  Use ``self.tenants.check(contract)`` first when a
         journal record must land between decision and installation."""
         placement = self.tenants.admit(contract)
-        num = len(self.shards)
+        num = len(self._lives)
         for sid, (rate, burst) in shard_shares(contract, num).items():
             colors = [c for c in contract.colors if shard_of(c, num) == sid]
             self._meters[sid].register(contract.name, colors, rate, burst)
@@ -455,21 +455,21 @@ class ShardedSession:
         """Per-tenant contracts and submitted/admitted/shed counters."""
         return self.tenants.stats()
 
-    def tick(self) -> dict:
-        """Advance every shard one round; returns the merged result frame."""
-        rnd = self.round
+    def _settle(self, rnd: int, parts: dict[int, dict]) -> dict:
+        """Book one finished round's per-shard parts (in shard order):
+        retire executed and dropped jobs, refill the tenant buckets, and
+        return the merged result frame."""
         executed: list[int] = []
         dropped: list[int] = []
         recolored = 0
         cost: int | float = 0
-        self.last_tick_parts = {}
-        for shard in self.shards:
-            part = shard.step(rnd)
-            self.last_tick_parts[shard.shard_id] = part
+        self.last_tick_parts = parts
+        for sid, part in parts.items():
             executed.extend(part["executed"])
             dropped.extend(part["dropped"])
             recolored += part["recolored"]
             cost += part["cost"]
+            self._in_flight[sid] -= len(part["executed"]) + len(part["dropped"])
         if not self.tenants.empty:
             for meter in self._meters:
                 meter.refill()
@@ -484,7 +484,72 @@ class ShardedSession:
 
     def drain_horizon(self) -> int:
         """First round by which no shard has any job left in flight."""
-        return max(shard.live.drain_horizon() for shard in self.shards)
+        return max(live.drain_horizon() for live in self._lives)
+
+    def close(self) -> None:
+        self._closed = True
+        for live in self._lives:
+            live.close()
+
+
+class ShardedSession(AdmissionGate):
+    """``S`` lockstep shards behind one admission gate and round clock.
+
+    ``policy_factory`` is called once per shard (policies carry run
+    state, so shards must not share one instance).  ``max_pending``
+    bounds each shard's in-flight jobs (pending in the simulator plus
+    buffered for future rounds); a submit that would push any target
+    shard over the bound is rejected whole with reason ``backpressure``.
+    """
+
+    def __init__(
+        self,
+        n: int,
+        delta: int | float,
+        policy_factory: Callable[[], Policy],
+        shards: int = 1,
+        speed: int = 1,
+        max_pending: int = 10_000,
+        weights: Sequence[int | float] | None = None,
+        telemetry: Recorder | None = None,
+        name: str = "serve",
+        engine: str = "incremental",
+    ):
+        self.n = n
+        self.delta = delta
+        self.speed = speed
+        self.engine = resolve_engine(engine)
+        self.capacities = split_capacity(n, shards, weights)
+        self.shards = [
+            SessionShard(
+                i,
+                cap,
+                delta,
+                policy_factory(),
+                speed=speed,
+                telemetry=telemetry,
+                name=name,
+                engine=self.engine,
+            )
+            for i, cap in enumerate(self.capacities)
+        ]
+        super().__init__(
+            [shard.live for shard in self.shards],
+            self.capacities,
+            speed,
+            delta,
+            max_pending,
+        )
+
+    def shard_for(self, color: Color) -> SessionShard:
+        return self.shards[shard_of(color, len(self.shards))]
+
+    def tick(self) -> dict:
+        """Advance every shard one round; returns the merged result frame."""
+        rnd = self.round
+        return self._settle(
+            rnd, {shard.shard_id: shard.step(rnd) for shard in self.shards}
+        )
 
     def stats(self) -> dict:
         return {
@@ -495,8 +560,3 @@ class ShardedSession:
             "jobs": sum(s.live.num_jobs for s in self.shards),
             "closed": self._closed,
         }
-
-    def close(self) -> None:
-        self._closed = True
-        for shard in self.shards:
-            shard.live.close()

@@ -19,8 +19,9 @@ delay-bound) contract.  Two mechanisms implement the contract:
   pure — it decides which jobs of a batch would be shed without touching the
   buckets — so a batch that another shard rejects leaves no trace.  Debits
   happen at commit, refills at tick, which makes the bucket trajectory a
-  pure fold over the journal and therefore exactly reconstructable on
-  worker failover.
+  pure fold over the journal (:func:`~repro.serve.journal.replay_session`
+  rebuilds it exactly).  The meters live in the frontend's admission
+  gate in both serve modes; shard workers never see a shed job.
 
 Shedding is per tenant and deterministic: an over-rate tenant loses its own
 excess submissions (batch order decides which), while jobs of other tenants
@@ -307,8 +308,8 @@ class TenantDirectory:
     Holds the contracts the service has accepted, maps colors to tenants,
     and answers the BDR schedulability question for a candidate contract
     against the shard capacities it was constructed with.  The directory is
-    the frontend-side source of truth; per-shard meters (in-process or in
-    worker processes) enforce the rates it admitted.
+    the frontend-side source of truth; the admission gate's per-shard
+    meters enforce the rates it admitted.
     """
 
     def __init__(
@@ -316,7 +317,7 @@ class TenantDirectory:
         shards: int,
         capacities: Sequence[int],
         speed: int = 1,
-        delta: int = 1,
+        delta: int | Fraction = 1,
     ) -> None:
         if shards != len(capacities):
             raise ValueError("one capacity per shard required")

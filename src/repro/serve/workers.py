@@ -9,42 +9,32 @@ duplex pipes, ``connection.wait``, SIGKILL + respawn), while
 :class:`WorkerShardedSession` keeps the exact public surface of
 ``ShardedSession`` so the asyncio server is mode-agnostic.
 
-**Cross-worker two-phase admission.**  ``submit`` keeps the atomic
-batch contract across processes:
-
-- *Phase 1 (validate)*: the parent runs the batch-wide rules it alone
-  can see (within-batch delay-bound consistency, global duplicate uids,
-  per-shard backpressure from its own pending ledger), and every target
-  worker checks its sub-batch against its live sequence (round
-  staleness, delay-bound-vs-history, closed) — the same split as
-  ``ShardedSession``'s pass 1, so the *first* violation by batch index
-  wins with the same tie order (sequence rules, then batch bounds, then
-  duplicates).  A validated sub-batch is cached worker-side under the
-  batch's ``seq``.
-- *Phase 2 (commit)*: only if every verdict was yes, the parent fires
-  ``commit(seq)`` at each target — commit-by-reference, no job bytes on
-  the wire — and the workers push their cached sub-batches.  A rejected
-  batch leaves no trace on any shard: phase 1 mutates nothing anywhere.
-
-Commits are pipelined (fire-and-forget): the parent does not block on
-commit acks, it drains them before the next blocking exchange.  Commit
-cannot fail after validation, so the ack carries no information beyond
-liveness — this halves the blocking round-trips per submit+tick cycle.
+**Admission stays in the frontend.**  :class:`WorkerShardedSession` is
+an :class:`~repro.serve.session.AdmissionGate`, the same admission code
+``ShardedSession`` runs: it checks every batch against per-shard
+:class:`~repro.core.live.LiveSequence` mirrors, the tenant meters, the
+seen-uid set and per-shard in-flight counts, so rejects, sheds and
+their order are identical to the in-process session by construction.
+Workers never vote.  A committed batch goes to each target worker as
+one one-way ``commit`` message carrying ``(color, arrival,
+delay_bound, uid)`` tuples, with no ack; ``tick`` is the one blocking
+round trip per worker per round, and the mirrors advance with
+``request(rnd)`` when it returns.  Worker ops are ``commit``, ``tick``,
+``stats``, ``digests``, ``metrics`` and ``close``.
 
 **Failover.**  The journal (:mod:`repro.serve.journal`) is write-ahead:
-the submit intent and its commit marker are on disk *before* any commit
-reaches a worker, and round records land only after every shard
+the submit intent and its commit marker are on disk *before* the commit
+is sent to any worker, and round records land only after every shard
 finished the round.  So when a worker dies (EOF/EPIPE) or hangs past
-``timeout`` (SIGKILL), the parent respawns it with
-``attempt + 1`` and the child rebuilds its entire
-``LiveSequence``/policy/simulator state by replaying the journal
-filtered to its colors — byte-identical, digest for digest, to a shard
-that never died.  The parent then re-issues only the in-flight
-*blocking* op: a replayed worker already owns every marked batch, so
-commits are never re-sent (an unknown ``seq`` commit is a no-op), and
-the pending tick/validate re-runs against the replayed state
-deterministically.  Retries are bounded (``retries`` per worker per op)
-with the supervisor's deterministic
+``timeout`` (SIGKILL), the parent respawns it with ``attempt + 1`` and
+the child rebuilds its entire ``LiveSequence``/policy/simulator state
+by replaying the journal filtered to its colors — byte-identical,
+digest for digest, to a shard that never died.  A commit whose send
+fails is therefore never re-sent: the respawned worker replayed it.  A
+worker that dies after a send is caught at the next blocking exchange
+and rebuilt the same way, and the in-flight blocking op re-runs against
+the replayed state deterministically.  Retries are bounded
+(``retries`` per worker per op) with the supervisor's deterministic
 :func:`~repro.utils.procs.retry_backoff` delays; past the bound the
 session raises and refuses further use.
 
@@ -64,22 +54,11 @@ from typing import Sequence
 
 from repro import faults
 from repro.core.engine import resolve_engine
-from repro.core.job import Color, Job
-from repro.core.live import LiveSequenceError
+from repro.core.job import Job
+from repro.core.live import LiveSequence
 from repro.policies import make_policy
 from repro.serve.journal import read_records, replay_shard
-from repro.serve.session import (
-    AdmissionError,
-    SessionShard,
-    shard_of,
-    split_capacity,
-)
-from repro.serve.tenants import (
-    ShardTenantMeter,
-    TenantContract,
-    TenantDirectory,
-    shard_shares,
-)
+from repro.serve.session import AdmissionGate, SessionShard, split_capacity
 from repro.telemetry.recorder import (
     Recorder,
     TelemetryRecorder,
@@ -89,11 +68,6 @@ from repro.telemetry.recorder import (
 from repro.utils.procs import PipeWorker, retry_backoff
 
 __all__ = ["WorkerShardedSession"]
-
-
-def _job_from_tuple(data: tuple) -> Job:
-    color, arrival, delay_bound, uid = data
-    return Job(color=color, arrival=arrival, delay_bound=delay_bound, uid=uid)
 
 
 def _shard_worker_main(
@@ -108,9 +82,10 @@ def _shard_worker_main(
     """Worker loop: one shard, driven by ``(op, seq, payload)`` messages.
 
     Runs in the child process.  Replies are ``(kind, seq, payload)``;
-    the ``None`` sentinel shuts down.  Any uncaught exception kills the
-    process — the parent sees EOF and handles it as a crash, which is
-    exactly what injected ``raise`` faults are meant to exercise.
+    ``commit`` gets none.  The ``None`` sentinel shuts down.  Any
+    uncaught exception kills the process — the parent sees EOF and
+    handles it as a crash, which is exactly what injected ``raise``
+    faults are meant to exercise.
     """
     faults.mark_worker()
     if fault_plan_json:
@@ -140,18 +115,12 @@ def _shard_worker_main(
             name=params["name"],
             telemetry=recorder,
         )
-        # Tenant token buckets for this shard; rebuilt by replay on a
-        # respawn (registration fills, marked submits debit, rounds
-        # refill — sheds never reach the journal, so the fold is exact).
-        meter = ShardTenantMeter()
         replayed = 0
         if journal_path is not None:
             # Recovery: rebuild the dead predecessor's state.  No fault
             # is consulted during replay, or the rule that killed the
             # worker would kill every successor too.
-            replayed = replay_shard(
-                read_records(journal_path), shard, shards, meter=meter
-            )
+            replayed = replay_shard(read_records(journal_path), shard, shards)
     except Exception as exc:
         try:
             conn.send(
@@ -162,7 +131,6 @@ def _shard_worker_main(
         return
     conn.send(("ready", -1, {"round": shard.live.next_round, "replayed": replayed}))
 
-    batches: dict[int, list[Job]] = {}
     last_tick: tuple[int, dict] | None = None
     while True:
         try:
@@ -173,56 +141,18 @@ def _shard_worker_main(
             break
         op, seq, payload = message
         faults.maybe_inject(f"serve/shard{shard_id}/{op}/{seq}", attempt)
-        if op == "validate":
-            # Payload: {"jobs": [(index, job-tuple), ...], "trace": id?}.
-            # The trace id rides the pipe both ways so an admission vote
-            # is attributable to its originating submit; it never feeds
-            # the admission decision.
-            trace = payload.get("trace")
-            verdict: tuple | None = None
-            indexed = [
-                (index, _job_from_tuple(data))
-                for index, data in payload["jobs"]
-            ]
-            # Tenant shed planning first (pure — buckets untouched until
-            # commit): every further check sees only the kept jobs, and
-            # the shed list rides home inside this shard's vote.
-            kept_pairs, shed = meter.plan(indexed)
-            jobs: list[Job] = []
-            for index, job in kept_pairs:
-                try:
-                    shard.live.check(job.color, job.arrival, job.delay_bound)
-                except LiveSequenceError as exc:
-                    verdict = (exc.reason, f"job {job.uid}: {exc}", index)
-                    break
-                jobs.append(job)
-            if verdict is None:
-                # The server serializes submits, so at most one batch is
-                # ever awaiting commit: replacing the cache also evicts
-                # any batch whose validation failed on another shard.
-                batches = {seq: jobs}
-                conn.send((
-                    "ok",
-                    seq,
-                    {"jobs": len(jobs), "trace": trace, "shed": shed},
-                ))
-            else:
-                batches = {}
-                conn.send(("reject", seq, verdict))
-        elif op == "commit":
-            # Unknown seq = this worker was respawned after the batch's
-            # marker hit the journal, so replay already applied it.
-            batch = batches.pop(seq, [])
-            shard.live.push_many(batch)
-            meter.debit(batch)
-            conn.send(("ok", seq, None))
+        if op == "commit":
+            # A batch the frontend already admitted: push it, say nothing.
+            shard.live.push_many([
+                Job(color=color, arrival=arrival, delay_bound=bound, uid=uid)
+                for color, arrival, bound, uid in payload
+            ])
         elif op == "tick":
             if last_tick is not None and last_tick[0] == payload:
                 part = last_tick[1]  # duplicate delivery; replay already ran it
             else:
                 t0 = time.perf_counter()
                 part = shard.step(payload)
-                meter.refill()
                 if recorder is not None:
                     # The worker-side round latency; relabeled with this
                     # shard's identity when the frontend scrapes it, so
@@ -232,23 +162,6 @@ def _shard_worker_main(
                     )
                 last_tick = (payload, part)
             conn.send(("result", seq, part))
-        elif op == "tenant":
-            # Install this shard's share of an admitted contract.  The
-            # parent journals the registration before fanning this op
-            # out, and re-delivery after a respawn is idempotent: replay
-            # already registered the tenant with a full bucket and no
-            # submit of its colors can precede its registration.
-            contract = TenantContract.from_dict(payload)
-            shares = shard_shares(contract, shards)
-            if shard_id in shares:
-                rate, burst = shares[shard_id]
-                colors = [
-                    c
-                    for c in contract.colors
-                    if shard_of(c, shards) == shard_id
-                ]
-                meter.register(contract.name, colors, rate, burst)
-            conn.send(("ok", seq, None))
         elif op == "stats":
             conn.send(("stats", seq, shard.stats()))
         elif op == "metrics":
@@ -274,8 +187,6 @@ class _ShardWorker:
         self.shard_id = shard_id
         self.attempt = 0  # spawn counter; feeds fault-injection attempt
         self.worker: PipeWorker | None = None
-        #: fire-and-forget commit seqs whose acks are still in the pipe.
-        self.outstanding: set[int] = set()
         #: rounds the current incarnation replayed from the journal at
         #: spawn (0 for the first spawn) and the round it came up at.
         self.replayed = 0
@@ -285,7 +196,7 @@ class _ShardWorker:
         self.spawn_session_round = 0
 
 
-class WorkerShardedSession:
+class WorkerShardedSession(AdmissionGate):
     """``S`` shard worker processes behind the ``ShardedSession`` surface.
 
     Constructor intentionally takes the *policy name*, not a factory:
@@ -315,8 +226,6 @@ class WorkerShardedSession:
         backoff_cap: float = 2.0,
         fault_plan_json: str | None = None,
     ):
-        if max_pending < 1:
-            raise ValueError(f"max_pending must be >= 1, got {max_pending}")
         if not journal_path:
             raise ValueError(
                 "WorkerShardedSession needs a journal_path: the write-ahead "
@@ -328,8 +237,14 @@ class WorkerShardedSession:
         self.delta = delta
         self.speed = speed
         self.engine = resolve_engine(engine)
-        self.max_pending = max_pending
         self.capacities = split_capacity(n, shards, weights)
+        super().__init__(
+            [LiveSequence() for _ in range(shards)],
+            self.capacities,
+            speed,
+            delta,
+            max_pending,
+        )
         self.journal_path = journal_path
         self.telemetry = telemetry if telemetry is not None else get_recorder()
         self.retries = retries
@@ -350,28 +265,7 @@ class WorkerShardedSession:
         }
         self._ctx = mp.get_context()
         self._seq = 0
-        self._round = 0
-        self._jobs = 0
-        self._max_deadline = 0
-        self._pending = [0] * shards
-        self._seen_uids: set[int] = set()
-        self._ready_commit: tuple[int, list[int], dict[int, int]] | None = None
-        self._closed = False
         self._failed: str | None = None
-        #: same observational surfaces as ShardedSession (span sources).
-        self.last_admission_votes: list[dict] = []
-        self.last_tick_parts: dict[int, dict] = {}
-        #: registration-time tenant admission lives frontend-side (the
-        #: BDR check needs the whole capacity picture); runtime token
-        #: buckets live in the workers and vote their sheds over the pipe.
-        self.tenants = TenantDirectory(
-            shards=shards,
-            capacities=self.capacities,
-            speed=speed,
-            delta=int(delta),
-        )
-        self.last_shed: list[dict] = []
-        self.last_kept: list[Job] = []
         self._workers = [_ShardWorker(i) for i in range(shards)]
         try:
             for wk in self._workers:
@@ -385,7 +279,6 @@ class WorkerShardedSession:
     def _spawn(self, wk: _ShardWorker, replay: bool) -> None:
         """Start (or restart) one shard worker and await its handshake."""
         wk.attempt += 1
-        wk.outstanding.clear()
         params = {
             **self._params_base,
             "capacity": self.capacities[wk.shard_id],
@@ -429,14 +322,14 @@ class WorkerShardedSession:
             raise RuntimeError(
                 f"shard {wk.shard_id} failed journal replay: {payload}"
             )
-        if replay and payload["round"] > self._round:
+        if replay and payload["round"] > self.round:
             raise RuntimeError(
                 f"shard {wk.shard_id} replayed past the session clock: "
-                f"{payload['round']} > {self._round}"
+                f"{payload['round']} > {self.round}"
             )
         wk.replayed = payload["replayed"]
         wk.ready_round = payload["round"]
-        wk.spawn_session_round = self._round
+        wk.spawn_session_round = self.round
 
     def _recover(self, wk: _ShardWorker, op: str, tries: dict[int, int]) -> None:
         """Kill + backoff + respawn-with-replay; raises past the retry bound."""
@@ -475,7 +368,7 @@ class WorkerShardedSession:
     def close(self) -> None:
         if self._closed:
             return
-        self._closed = True
+        super().close()
         if self._failed is None:
             try:
                 self._exchange(self._workers, "close", lambda sid: None)
@@ -515,46 +408,22 @@ class WorkerShardedSession:
         targets: Sequence[_ShardWorker],
         op: str,
         payload_of,
-        seq: int | None = None,
     ) -> dict[int, tuple[str, object]]:
         """One blocking fan-out: send ``op`` to every target, gather replies.
 
         Survives worker deaths (respawn + replay + re-send) and hangs
         (per-attempt ``timeout`` → SIGKILL → same recovery), with at
-        most ``retries`` recoveries per worker.  Fire-and-forget commit
-        acks encountered while waiting are drained here.
+        most ``retries`` recoveries per worker.  Replies with another
+        ``seq`` (late answers to a soft metrics scrape) are dropped.
         """
-        if seq is None:
-            self._seq += 1
-            seq = self._seq
-        state = self._send_all(targets, op, payload_of, seq)
-        return self._gather(state, op, payload_of, seq)
-
-    def _send_all(
-        self,
-        targets: Sequence[_ShardWorker],
-        op: str,
-        payload_of,
-        seq: int,
-    ) -> tuple[dict, dict, dict]:
-        """The send half of :meth:`_exchange`, exposed so ``validate``
-        can overlap the workers' checks with its own batch-wide pass."""
+        self._seq += 1
+        seq = self._seq
         tries: dict[int, int] = {}
         pending: dict[int, _ShardWorker] = {wk.shard_id: wk for wk in targets}
         deadlines: dict[int, float] = {}
-        for wk in pending.values():
+        for wk in targets:
             self._deliver(wk, op, seq, payload_of(wk.shard_id), tries)
             deadlines[wk.shard_id] = time.monotonic() + self.timeout
-        return tries, pending, deadlines
-
-    def _gather(
-        self,
-        state: tuple[dict, dict, dict],
-        op: str,
-        payload_of,
-        seq: int,
-    ) -> dict[int, tuple[str, object]]:
-        tries, pending, deadlines = state
         replies: dict[int, tuple[str, object]] = {}
         while pending:
             conns = {wk.worker.conn: wk for wk in pending.values()}
@@ -578,9 +447,6 @@ class WorkerShardedSession:
                     deadlines[wk.shard_id] = time.monotonic() + self.timeout
                     continue
                 if rseq != seq:
-                    # A drained commit ack, or a stale reply from an
-                    # attempt that timed out — both are droppable.
-                    wk.outstanding.discard(rseq)
                     continue
                 if kind == "error":
                     self._failed = f"shard {wk.shard_id}: {payload}"
@@ -589,259 +455,54 @@ class WorkerShardedSession:
                 del pending[wk.shard_id]
         return replies
 
-    def _fire(
-        self, targets: Sequence[_ShardWorker], op: str, seq: int
-    ) -> None:
-        """Pipelined send with no reply wait (commit phase 2).
-
-        A send failure means the worker died before the op arrived; the
-        op's effect is already covered by the write-ahead journal, so
-        recovery is respawn + replay with *no* re-send.
-        """
-        tries: dict[int, int] = {}
-        for wk in targets:
-            try:
-                wk.worker.conn.send((op, seq, None))
-                wk.outstanding.add(seq)
-            except (BrokenPipeError, OSError, ValueError):
-                self._recover(wk, op, tries)
-
     # -- the ShardedSession surface --------------------------------------------
 
-    @property
-    def num_shards(self) -> int:
-        return len(self._workers)
-
-    @property
-    def round(self) -> int:
-        """The next round to tick (all shards advance in lockstep)."""
-        return self._round
-
-    @property
-    def pending(self) -> int:
-        return sum(self._pending)
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def validate(self, jobs: Sequence[Job], trace: str | None = None) -> None:
-        """Phase 1 across workers; raises :class:`AdmissionError`.
-
-        Parity with ``ShardedSession.validate``: the violation at the
-        lowest batch index wins; for one index, the worker's sequence
-        rules (priority 0) beat within-batch bound consistency (1) beat
-        duplicate uids (2); backpressure applies only to otherwise-clean
-        batches.
-
-        ``trace`` crosses the pipe inside the validate payload and is
-        echoed back in each worker's vote, so admission spans attribute
-        the vote to the submit that caused it.
-
-        With tenants registered, each worker's vote additionally carries
-        the shed list its token buckets decided for its sub-batch; the
-        parent merges them (``last_shed``/``last_kept``) and runs its
-        batch-wide pass on the surviving jobs only — the same
-        sheds-first ordering as ``ShardedSession``.
-        """
+        """:meth:`AdmissionGate.validate
+        <repro.serve.session.AdmissionGate.validate>`, refused once the
+        session has failed."""
         self._check_usable()
-        self.last_admission_votes = []
-        self.last_shed = []
-        self.last_kept = list(jobs)
-        if self._closed:
-            raise AdmissionError("closed", "session is closed")
-        # Route and ship the sub-batches first: the workers run their
-        # sequence checks while the parent does its own batch-wide pass
-        # below (on multi-core hosts the two genuinely overlap).
-        num = self.num_shards
-        sublists: dict[int, list] = {}
-        for index, job in enumerate(jobs):
-            sublists.setdefault(shard_of(job.color, num), []).append(
-                (index, (job.color, job.arrival, job.delay_bound, job.uid))
-            )
-        self._seq += 1
-        seq = self._seq
-        payload_of = lambda sid: {"jobs": sublists[sid], "trace": trace}
-        if sublists:
-            state = self._send_all(
-                [self._workers[sid] for sid in sorted(sublists)],
-                "validate",
-                payload_of,
-                seq,
-            )
-        replies: dict[int, tuple[str, object]] = {}
-        shed_idx: set[int] = set()
-        if not self.tenants.empty and sublists:
-            # Sheds are decided inside the workers; the parent's
-            # batch-wide pass must see only the kept jobs, so tenant mode
-            # gathers the votes first (tenant-free submits keep the
-            # overlapped fast path: gather after the parent pass).
-            replies = self._gather(state, "validate", payload_of, seq)
-            shed_all: list[dict] = []
-            for sid in sorted(sublists):
-                kind, payload = replies[sid]
-                if kind == "ok":
-                    shed_all.extend(payload.get("shed") or ())
-            shed_all.sort(key=lambda entry: entry["index"])
-            shed_idx = {entry["index"] for entry in shed_all}
-            self.last_shed = shed_all
-            self.last_kept = [
-                job
-                for index, job in enumerate(jobs)
-                if index not in shed_idx
-            ]
-        bounds: dict[Color, int] = {}
-        batch_uids: set[int] = set()
-        candidates: list[tuple[int, int, AdmissionError]] = []
-        for index, job in enumerate(jobs):
-            if index in shed_idx:
-                continue
-            prev = bounds.setdefault(job.color, job.delay_bound)
-            if prev != job.delay_bound:
-                candidates.append((
-                    index,
-                    1,
-                    AdmissionError(
-                        "inconsistent_delay_bound",
-                        f"job {job.uid}: color {job.color!r} appears in this "
-                        f"batch with delay bounds {prev} and {job.delay_bound}",
-                        index,
-                    ),
-                ))
-            if job.uid in self._seen_uids or job.uid in batch_uids:
-                candidates.append((
-                    index,
-                    2,
-                    AdmissionError(
-                        "duplicate_uid",
-                        f"job uid {job.uid} was already submitted",
-                        index,
-                    ),
-                ))
-            batch_uids.add(job.uid)
-        votes: list[dict] = []
-        if sublists:
-            if not replies:
-                replies = self._gather(state, "validate", payload_of, seq)
-            for sid in sorted(sublists):
-                kind, payload = replies[sid]
-                if kind == "reject":
-                    reason, message, index = payload
-                    candidates.append(
-                        (index, 0, AdmissionError(reason, message, index))
-                    )
-                else:
-                    votes.append({
-                        "shard": sid,
-                        "verdict": "ok",
-                        "jobs": payload["jobs"],
-                        "trace": payload["trace"],
-                    })
-        if candidates:
-            candidates.sort(key=lambda item: (item[0], item[1]))
-            raise candidates[0][2]
-        # Per-shard load from the votes themselves: with tenants this is
-        # the *kept* count (what commit will actually push), without
-        # tenants it equals the routed sub-batch size exactly.
-        load = {vote["shard"]: vote["jobs"] for vote in votes}
-        for sid in sorted(load):
-            if self._pending[sid] + load[sid] > self.max_pending:
-                raise AdmissionError(
-                    "backpressure",
-                    f"shard {sid} would hold {self._pending[sid] + load[sid]} "
-                    f"in-flight jobs (limit {self.max_pending}); retry after "
-                    f"ticking",
-                )
-        self.last_admission_votes = votes
-        self._ready_commit = (seq, sorted(sublists), load)
+        super().validate(jobs, trace)
 
     def commit(self, jobs: Sequence[Job]) -> None:
         """Phase 2: commit the batch :meth:`validate` just cleared.
 
         Must follow a successful ``validate`` of the same batch with no
         session mutation in between (the server's synchronous frame
-        handler guarantees this).  Fire-and-forget: workers push their
-        cached sub-batches; acks drain at the next blocking exchange.
+        handler guarantees this).  The frontend mirrors take the batch,
+        then each target worker gets its slice as one one-way ``commit``
+        message.  A send that fails means the worker died; its respawn
+        replays the batch from the journal, so nothing is re-sent.
         """
         self._check_usable()
-        if self._ready_commit is None:
-            raise RuntimeError("commit without a matching validate")
-        seq, shard_ids, load = self._ready_commit
-        self._ready_commit = None
-        if sum(load.values()) != len(jobs):
-            raise RuntimeError("commit batch does not match validated batch")
-        self._fire([self._workers[sid] for sid in shard_ids], "commit", seq)
-        for sid, extra in load.items():
-            self._pending[sid] += extra
-        self._jobs += len(jobs)
-        for job in jobs:
-            self._seen_uids.add(job.uid)
-            if job.deadline > self._max_deadline:
-                self._max_deadline = job.deadline
+        slices = super().commit(jobs)
+        self._seq += 1
+        for sid, part in slices.items():
+            wk = self._workers[sid]
+            try:
+                wk.worker.conn.send((
+                    "commit",
+                    self._seq,
+                    [
+                        (job.color, job.arrival, job.delay_bound, job.uid)
+                        for job in part
+                    ],
+                ))
+            except (BrokenPipeError, OSError, ValueError):
+                self._recover(wk, "commit", {})
         if jobs and self.telemetry.enabled:
             self.telemetry.count("repro_serve_worker_commits_total")
-
-    def submit(self, jobs: Sequence[Job]) -> list[dict]:
-        """Admit a batch atomically; raises :class:`AdmissionError`.
-
-        Commits the jobs validation kept (all of them, tenant-free) and
-        returns the shed list, mirroring ``ShardedSession.submit``.
-        """
-        self.validate(jobs)
-        self.commit(self.last_kept)
-        return self.last_shed
-
-    def register_tenant(self, contract: TenantContract) -> list[dict]:
-        """Admit a tenant frontend-side (the BDR composition check needs
-        the whole capacity picture) and install its per-shard token
-        buckets in every worker over the pipe.  Raises
-        :class:`~repro.serve.tenants.TenantError` before anything is
-        installed when the contract is unschedulable."""
-        self._check_usable()
-        placement = self.tenants.admit(contract)
-        wire = contract.to_dict()
-        self._exchange(self._workers, "tenant", lambda sid: wire)
-        return placement
-
-    def tenant_stats(self) -> list[dict]:
-        """Per-tenant contracts and submitted/admitted/shed counters."""
-        return self.tenants.stats()
 
     def tick(self) -> dict:
         """Advance every shard one round — in parallel across workers."""
         self._check_usable()
-        rnd = self._round
+        rnd = self.round
         replies = self._exchange(self._workers, "tick", lambda sid: rnd)
-        executed: list[int] = []
-        dropped: list[int] = []
-        recolored = 0
-        cost: int | float = 0
-        self.last_tick_parts = {}
-        for wk in self._workers:
-            kind, part = replies[wk.shard_id]
-            self.last_tick_parts[wk.shard_id] = part
-            executed.extend(part["executed"])
-            dropped.extend(part["dropped"])
-            recolored += part["recolored"]
-            cost += part["cost"]
-            self._pending[wk.shard_id] -= len(part["executed"]) + len(
-                part["dropped"]
-            )
-        self._round = rnd + 1
-        return {
-            "round": rnd,
-            "executed": sorted(executed),
-            "dropped": sorted(dropped),
-            "recolored": recolored,
-            "cost": cost,
-            "pending": self.pending,
-        }
-
-    def drain_horizon(self) -> int:
-        """First round by which no shard has any job left in flight."""
-        if self._jobs == 0:
-            return self._round
-        return max(self._round, self._max_deadline + 1)
+        for live in self._lives:
+            live.request(rnd)
+        return self._settle(
+            rnd, {wk.shard_id: replies[wk.shard_id][1] for wk in self._workers}
+        )
 
     def shard_digests(self) -> list[dict[str, str]]:
         """Per-shard component digests (the determinism test surface)."""
@@ -860,8 +521,7 @@ class WorkerShardedSession:
         must never be the thing that restarts a shard.  Workers that
         miss the ``budget`` deadline (default: min(op timeout, 1s))
         simply land in the failed list; their late replies carry a stale
-        seq and are discarded by the next blocking exchange, exactly
-        like drained commit acks.
+        seq and are discarded by the next blocking exchange.
         """
         if self._closed or self._failed is not None:
             return {}, [wk.shard_id for wk in self._workers]
@@ -894,7 +554,6 @@ class WorkerShardedSession:
                     del pending[wk.shard_id]
                     continue
                 if rseq != seq:
-                    wk.outstanding.discard(rseq)
                     continue
                 if kind == "metrics" and payload:
                     snaps[wk.shard_id] = payload
@@ -929,7 +588,7 @@ class WorkerShardedSession:
         replies = self._exchange(self._workers, "stats", lambda sid: None)
         shards = [replies[wk.shard_id][1] for wk in self._workers]
         return {
-            "round": self._round,
+            "round": self.round,
             "shards": shards,
             "pending": sum(s["pending"] for s in shards),
             "jobs": sum(s["jobs"] for s in shards),

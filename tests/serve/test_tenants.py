@@ -248,6 +248,26 @@ class TestSessionShedding:
             sh.digests() for sh in metered.shards
         ]
 
+    def test_fractional_delta_is_exact_in_both_session_classes(self, tmp_path):
+        # With Delta = 5/2 the shard's supply within the tenant's window
+        # of 3 rounds is 1 * (3 - 5/2); truncating Delta to 2 said 1.
+        from repro.policies import make_policy
+        from repro.serve.workers import WorkerShardedSession
+
+        tenant = contract(colors=(1, 2), rate=1, burst=1, delay_bound=3)
+        expected = [
+            {"shard": 0, "rate": "1", "burst": 1, "window_supply": "1/2"}
+        ]
+        in_process = ShardedSession(
+            n=8, delta=2.5, policy_factory=lambda: make_policy("edf", 2.5),
+        )
+        assert in_process.register_tenant(tenant) == expected
+        with WorkerShardedSession(
+            n=8, delta=2.5, policy="edf",
+            journal_path=str(tmp_path / "j.jsonl"), timeout=10.0,
+        ) as workers:
+            assert workers.register_tenant(tenant) == expected
+
 
 class TestWireFrames:
     def wire_contract(self, **kw):
