@@ -191,8 +191,9 @@ class TestTraceCompleteness:
                 s for s in entry["nodes"].values() if s["name"] == "admit"
             ]
             assert admits
-            # the admit span's trace id is the one the worker echoed back
-            # across the pipe, so a match proves end-to-end propagation
+            # the admit span's trace id is the one the admission vote
+            # carried, so a match proves propagation from the submit
+            # through admission to the span
             assert all(s["trace"] == trace_id for s in admits)
 
 
