@@ -17,7 +17,7 @@ serve-bench:
 
 # Competitive-ratio dashboard: exact offline OPT vs every online policy.
 opt-bench:
-	python benchmarks/opt.py --scale quick --out BENCH_opt.json
+	python -m repro.cli opt --scale quick --out BENCH_opt.json
 
 experiments:
 	python -m repro.cli all --scale quick

@@ -21,6 +21,7 @@ from typing import Callable, Mapping, Sequence
 
 from repro import __version__
 from repro.analysis.metrics import collect_metrics
+from repro.core.engine import resolve_engine
 from repro.core.request import Instance
 from repro.core.simulator import simulate
 from repro.experiments import EXPERIMENTS, run_experiment
@@ -183,15 +184,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser(
         "opt",
-        help="exact offline optimum (brute-force DP or z3) and the "
+        help="exact offline optimum (brute-force DP) and the "
         "empirical competitive-ratio dashboard; writes BENCH_opt.json",
     )
     p_opt.add_argument("--scale", default="quick", choices=["quick", "full"])
-    p_opt.add_argument("--backend", default="auto",
-                       choices=["auto", "brute", "z3"],
-                       help="exact solver backend; 'auto' resolves to brute "
-                       "(always available); 'z3' needs the optional "
-                       "z3-solver wheel (pip install repro[opt])")
     p_opt.add_argument("--engine", default="incremental",
                        choices=["auto", "reference", "incremental"],
                        help="round engine used to replay-validate decoded "
@@ -460,16 +456,13 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
 
 def _run_opt_command(args: argparse.Namespace) -> int:
     from repro.opt import (
-        ModelTooLarge,
         SearchBudgetExceeded,
-        Z3Unavailable,
         ratio_dashboard,
         render_dashboard,
         solve_opt,
         write_bench,
     )
 
-    backend = None if args.backend == "auto" else args.backend
     try:
         if args.workload is not None or args.trace is not None:
             # Single-solve mode: one instance, one validated optimum.
@@ -483,7 +476,6 @@ def _run_opt_command(args: argparse.Namespace) -> int:
             result = solve_opt(
                 instance,
                 m,
-                backend=backend,
                 horizon=args.horizon,
                 max_states=args.max_states,
                 engine=args.engine,
@@ -515,15 +507,13 @@ def _run_opt_command(args: argparse.Namespace) -> int:
                       f"(cost {result.drop_cost})")
                 if result.excluded_jobs:
                     print(f"  excluded by horizon: {result.excluded_jobs}")
-                if result.states is not None:
-                    print(f"  search states: {result.states}")
+                print(f"  search states: {result.states}")
                 print(f"  validated: {result.validated} "
                       f"(checker + digest {result.digests['run'][:16]}…)")
             return 0
 
         payload = ratio_dashboard(
             args.scale,
-            backend=backend,
             engine=args.engine,
             use_cache=not args.no_cache,
             max_states=args.max_states,
@@ -535,9 +525,7 @@ def _run_opt_command(args: argparse.Namespace) -> int:
         out = write_bench(payload, args.out)
         print(f"wrote {out}")
         return 0 if payload["ok"] else 1
-    except Z3Unavailable as exc:
-        raise SystemExit(f"repro opt: {exc}")
-    except (ModelTooLarge, SearchBudgetExceeded) as exc:
+    except SearchBudgetExceeded as exc:
         raise SystemExit(
             f"repro opt: {exc} (shrink the instance with --horizon, or "
             f"raise --max-states)"
@@ -923,7 +911,11 @@ def _main(argv: Sequence[str] | None = None) -> int:
                 summary = result.ledger.summary()
                 schedule = result.schedule
             else:
-                policy = make_policy(args.policy, instance.delta)
+                policy = make_policy(
+                    args.policy,
+                    instance.delta,
+                    incremental=resolve_engine(args.engine) != "reference",
+                )
                 run = simulate(instance, policy, n=args.n,
                                record_events=False, engine=args.engine)
                 summary = collect_metrics(run).as_dict()

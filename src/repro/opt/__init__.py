@@ -8,12 +8,10 @@ ratios become measurements instead of citations.
 Layers (each importable on its own):
 
 - :mod:`repro.opt.model` — compiles an instance over a bounded horizon
-  into a solver-neutral :class:`~repro.opt.model.OptModel`;
-- :mod:`repro.opt.brute` / :mod:`repro.opt.z3backend` — the two exact
-  backends (exhaustive memoized DP; optional z3 SMT via
-  ``pip install repro[opt]``);
+  into an :class:`~repro.opt.model.OptModel`;
+- :mod:`repro.opt.brute` — the exact search (exhaustive memoized DP);
 - :mod:`repro.opt.backends` — the registry (`solve_opt` is the one
-  entry point callers should use), mirroring :mod:`repro.core.engine`;
+  entry point callers should use);
 - :mod:`repro.opt.decode` — replays every solution through a real
   engine, the independent schedule checker, and the digest authority
   before any cost is published;
@@ -23,7 +21,6 @@ Layers (each importable on its own):
 
 from repro.opt.backends import (
     BACKENDS,
-    available_backends,
     resolve_backend,
     solve_opt,
 )
@@ -34,7 +31,7 @@ from repro.opt.decode import (
     ScriptedPolicy,
     decode_solution,
 )
-from repro.opt.model import CompiledJob, OptModel, Solution, compile_model
+from repro.opt.model import OptModel, Solution, compile_model
 from repro.opt.ratios import (
     BENCH_FORMAT,
     RATIO_POLICIES,
@@ -44,13 +41,10 @@ from repro.opt.ratios import (
     render_dashboard,
     write_bench,
 )
-from repro.opt.z3backend import ModelTooLarge, Z3Unavailable, have_z3, solve_z3
 
 __all__ = [
     "BACKENDS",
     "BENCH_FORMAT",
-    "CompiledJob",
-    "ModelTooLarge",
     "OptModel",
     "OptResult",
     "OptValidationError",
@@ -59,17 +53,13 @@ __all__ = [
     "ScriptedPolicy",
     "SearchBudgetExceeded",
     "Solution",
-    "Z3Unavailable",
-    "available_backends",
     "compile_model",
     "decode_solution",
-    "have_z3",
     "ratio_cases",
     "ratio_dashboard",
     "render_dashboard",
     "resolve_backend",
     "solve_brute",
     "solve_opt",
-    "solve_z3",
     "write_bench",
 ]

@@ -1,20 +1,12 @@
-"""Backend registry: select an exact solver by name.
+"""Backend registry: name the exact solver and run it end to end.
 
-Mirrors :mod:`repro.core.engine` — two backends share one behavioural
-contract (same compiled model in, same optimum out, every solution
-decoded and validated by :mod:`repro.opt.decode` before anyone sees a
-cost):
-
-- ``brute`` — exhaustive memoized DP (:mod:`repro.opt.brute`); always
-  available, the deterministic default;
-- ``z3`` — SMT/ILP via the optional ``z3-solver`` wheel
-  (:mod:`repro.opt.z3backend`); gracefully absent when not installed.
-
-``backend="auto"`` (or ``None``) resolves to ``brute``: both backends
-are exact, so availability and determinism — not solution quality —
-decide the default.  The ratio dashboard, the CLI, and the tests all
-resolve backends through this module, so a new backend only needs a
-registry entry to become selectable everywhere.
+There is one backend, ``brute`` — the exhaustive memoized DP of
+:mod:`repro.opt.brute`.  ``backend="auto"`` (or ``None``) resolves to
+it.  Callers (the ratio dashboard, the CLI and the tests) name the
+backend through :func:`resolve_backend`, and the name is recorded in
+every :class:`~repro.opt.decode.OptResult` and dashboard cell.  Every
+solution is decoded and validated by :mod:`repro.opt.decode` before
+anyone sees a cost.
 
 Telemetry (never affects results, like every recorder in this repo):
 
@@ -32,30 +24,22 @@ from repro.core.schedule import ScheduleError
 from repro.opt.brute import solve_brute
 from repro.opt.decode import OptResult, OptValidationError, decode_solution
 from repro.opt.model import compile_model
-from repro.opt.z3backend import Z3Unavailable, have_z3, solve_z3
 from repro.telemetry.recorder import Recorder, get_recorder
 
 __all__ = [
     "BACKENDS",
-    "available_backends",
     "resolve_backend",
     "solve_opt",
 ]
 
-#: Every selectable backend, in documentation order.
-BACKENDS: tuple[str, ...] = ("brute", "z3")
-
-
-def available_backends() -> tuple[str, ...]:
-    """The backends usable in this environment (z3 only if importable)."""
-    return BACKENDS if have_z3() else ("brute",)
+#: Every selectable backend.
+BACKENDS: tuple[str, ...] = ("brute",)
 
 
 def resolve_backend(backend: str | None = None) -> str:
     """Normalize a backend selection to a registry name.
 
-    ``None`` and ``"auto"`` resolve to ``brute``; asking for ``z3``
-    without the wheel raises :class:`~repro.opt.z3backend.Z3Unavailable`.
+    ``None`` and ``"auto"`` resolve to ``brute``.
     """
     if backend is None or backend == "auto":
         return "brute"
@@ -63,11 +47,6 @@ def resolve_backend(backend: str | None = None) -> str:
         raise ValueError(
             f"unknown opt backend {backend!r}; expected one of "
             f"{list(BACKENDS)} (or 'auto')"
-        )
-    if backend == "z3" and not have_z3():
-        raise Z3Unavailable(
-            "the z3 backend needs the optional z3-solver dependency "
-            "(pip install repro[opt]); use --backend brute or auto"
         )
     return backend
 
@@ -79,15 +58,14 @@ def solve_opt(
     backend: str | None = None,
     horizon: int | None = None,
     max_states: int = 2_000_000,
-    timeout_ms: int | None = None,
     engine: str = "reference",
     telemetry: "Recorder | None" = None,
 ) -> OptResult:
     """Exact offline optimum of ``instance`` with ``m`` resources, validated.
 
     Compiles the instance (:func:`repro.opt.model.compile_model`), runs
-    the named backend, then decodes and validates the solution through
-    the independent checker and digest authority
+    the DP, then decodes and validates the solution through the
+    independent checker and digest authority
     (:func:`repro.opt.decode.decode_solution`).  ``engine`` selects the
     replay engine for the validation pass only.
     """
@@ -96,16 +74,12 @@ def solve_opt(
     model = compile_model(instance, m, horizon=horizon)
 
     start = time.perf_counter()
-    if name == "z3":
-        solution = solve_z3(model, timeout_ms=timeout_ms)
-    else:
-        solution = solve_brute(model, max_states=max_states)
+    solution = solve_brute(model, max_states=max_states)
     telem.observe(
         "repro_opt_solve_seconds", time.perf_counter() - start, backend=name
     )
     telem.count("repro_opt_solves_total", backend=name)
-    if solution.states is not None:
-        telem.count("repro_opt_states_total", solution.states, backend=name)
+    telem.count("repro_opt_states_total", solution.states, backend=name)
 
     try:
         result = decode_solution(model, solution, engine=engine)

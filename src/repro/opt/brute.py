@@ -288,5 +288,4 @@ def solve_brute(model: OptModel, max_states: int = 2_000_000) -> Solution:
         configs=tuple(configs),
         backend="brute",
         states=states,
-        stats={"states": states},
     )

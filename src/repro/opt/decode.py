@@ -1,9 +1,9 @@
 """Solution decoder: replay an optimum through machinery the solver never touches.
 
-A backend only emits *per-round configuration multisets* plus a claimed
+The search only emits *per-round configuration multisets* plus a claimed
 cost.  That is deliberate: given fixed configurations, greedy
 earliest-deadline execution per configured location is optimal (the fact
-both backends already rely on), and at an optimum the per-location change
+the search already relies on), and at an optimum the per-location change
 count equals the minimum multiset-diff realization cost — so replaying
 just the configurations through a real engine must land on exactly the
 claimed cost.  The replay is therefore a *check*, not a convenience:
@@ -17,7 +17,7 @@ claimed cost.  The replay is therefore a *check*, not a convenience:
    checker's recomputed ledger must reconcile (claimed cost plus any
    jobs the horizon excluded);
 4. the schedule is digested with :func:`repro.core.digest.schedule_digests`,
-   the engine-free cost-extraction authority, so two backends that find
+   the engine-free cost-extraction authority, so two solvers that find
    *different* optimal schedules still publish comparable digests.
 
 Any mismatch raises :class:`OptValidationError` — a solver bug can never
@@ -87,7 +87,7 @@ class OptResult:
     executed: int
     unserved: int
     excluded_jobs: int
-    states: int | None
+    states: int
     digests: dict[str, str]
     replay_digest: str
     engine: str
@@ -107,14 +107,14 @@ def decode_solution(
     solution: Solution,
     engine: str = "reference",
 ) -> OptResult:
-    """Replay, check, and digest a backend's solution (see module docstring)."""
+    """Replay, check, and digest a search's solution (see module docstring)."""
     instance = model.instance
     sequence = instance.sequence
     policy = ScriptedPolicy(solution.configs)
     sim = make_simulator(instance, policy, model.m, engine=engine)
     run = sim.run(horizon=model.horizon)
 
-    unserved = len(model.jobs) - len(run.executed_uids)
+    unserved = model.num_jobs - len(run.executed_uids)
     replay_cost = run.ledger.reconfig_cost + unserved
     if replay_cost != solution.cost:
         raise OptValidationError(

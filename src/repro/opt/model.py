@@ -1,78 +1,60 @@
-"""Formulation layer: compile an instance into the exact-OPT decision space.
+"""Formulation layer: compile an instance into the exact-OPT search space.
 
 The offline problem ``[Delta | 1 | D_l | 1]`` over a bounded horizon is
-decided by two families of variables:
+decided by one choice per round ``r < horizon``: the multiset of colors
+the ``m`` resources hold after round ``r``'s reconfiguration phase.
+:mod:`repro.opt.brute` searches those choices exhaustively, and its
+objective matches the ledger exactly::
 
-- **configuration** — for every round ``r < horizon`` and location
-  ``p < m``, the color (or black) location ``p`` holds after the
-  reconfiguration phase of round ``r``;
-- **execution** — for every job ``j`` and every ``(round, location)``
-  inside ``j``'s window, whether ``j`` runs there.
-
-The objective matches the ledger exactly::
-
-    cost = Delta * |{(r, p) : color changed vs round r-1}| + |unexecuted jobs|
+    cost = Delta * (color copies added, summed over rounds) + |unexecuted jobs|
 
 with round ``-1`` all-black (the paper's initial state).  Two model facts
-let the formulations stay this small:
+let the search stay this small:
 
 1. recoloring to black is never useful — it costs ``Delta`` and enables
    nothing — so configurations only ever move between black and job
-   colors and the objective never needs a shedding term;
-2. executing a job never costs anything, so minimizing over *schedules*
-   equals minimizing over configurations with free execution choice
-   (skipping an execution can only add a drop).
+   colors, a copy is discarded only when another is added in its place,
+   and the objective never needs a shedding term;
+2. executing a job never costs anything, and once the configurations
+   are fixed, greedy earliest-deadline execution on every configured
+   copy is optimal — so minimizing over *schedules* equals minimizing
+   over configuration sequences, with the executions derived.
 
 :func:`compile_model` interns colors to dense ids (``0`` is reserved for
-black) and precomputes per-round arrival summaries.  Both backends
-(:mod:`repro.opt.brute`, :mod:`repro.opt.z3backend`) consume this one
-compiled form, so they agree on the decision space by construction and
-can only disagree through search itself — which is exactly what the
-differential tests pin down.
+black) and summarizes each round's arrivals per color as sorted
+``(deadline, count)`` pairs.  Unit jobs of one color and deadline are
+interchangeable for cost purposes, so the search works on these counts
+and never on individual jobs; :mod:`repro.opt.decode` replays the plan
+it finds through a real engine.
 
 Jobs arriving at or after the horizon cannot be served in-model; they are
 *excluded* (counted in :attr:`OptModel.excluded_jobs`) rather than
 charged, and the decoder adds them back when reconciling against the
-full-sequence checker.  With the default horizon (the sequence horizon,
-i.e. past every deadline) nothing is excluded.
+full-sequence checker.  A job still pending at the horizon counts as a
+drop.  With the default horizon (the sequence horizon, i.e. past every
+deadline) nothing is excluded.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from repro.core.job import Color, color_sort_key
 from repro.core.request import Instance
 
-__all__ = ["CompiledJob", "OptModel", "Solution", "compile_model"]
-
-
-@dataclass(frozen=True)
-class CompiledJob:
-    """One unit job in interned form.
-
-    ``window_end`` is ``min(deadline, horizon)`` — the first round the job
-    can no longer run *in-model*; ``deadline`` keeps the true value for
-    drop accounting.
-    """
-
-    uid: int
-    cid: int  # interned color id, >= 1 (0 is black)
-    arrival: int
-    deadline: int
-    window_end: int
+__all__ = ["OptModel", "Solution", "compile_model"]
 
 
 @dataclass(frozen=True)
 class OptModel:
-    """A compiled instance: everything a backend needs, nothing else.
+    """A compiled instance: what the search and the decoder read.
 
     ``colors[i]`` is the native color with interned id ``i + 1``;
     ``arrivals[r][cid]`` is a sorted ``((deadline, count), ...)`` summary
-    of round ``r``'s request (unit jobs of equal color and deadline are
-    interchangeable for cost purposes).
+    of round ``r``'s request; ``num_jobs`` counts the in-model jobs (those
+    arriving before the horizon).
     """
 
     instance: Instance
@@ -80,25 +62,9 @@ class OptModel:
     horizon: int
     delta: int | float
     colors: tuple[Color, ...]
-    jobs: tuple[CompiledJob, ...]
+    num_jobs: int
     arrivals: Mapping[int, Mapping[int, tuple[tuple[int, int], ...]]]
     excluded_jobs: int
-
-    @property
-    def num_colors(self) -> int:
-        return len(self.colors)
-
-    @property
-    def num_config_vars(self) -> int:
-        """One color-valued variable per (round, location)."""
-        return self.horizon * self.m
-
-    @property
-    def num_exec_vars(self) -> int:
-        """One boolean per (job, in-window round, location)."""
-        return sum(
-            (job.window_end - job.arrival) * self.m for job in self.jobs
-        )
 
     def color_of(self, cid: int) -> Color:
         """Native color of an interned id (ids start at 1; 0 is black)."""
@@ -107,20 +73,20 @@ class OptModel:
 
 @dataclass(frozen=True)
 class Solution:
-    """What a backend returns: the optimum and how to realize it.
+    """What the search returns: the optimum and how to realize it.
 
     ``configs`` is one multiset of native colors per round — the
     configuration held *after* that round's reconfiguration phase.  The
     decoder replays these through a real engine (which re-derives the
     executions greedily, provably without cost loss) and demands the
-    replayed total equal ``cost`` exactly.
+    replayed total equal ``cost`` exactly.  ``states`` is the search's
+    memo size.
     """
 
     cost: int | float
     configs: tuple[tuple[Color, ...], ...]
     backend: str
-    states: int | None = None
-    stats: Mapping[str, int | float] = field(default_factory=dict)
+    states: int
 
 
 def compile_model(
@@ -144,25 +110,16 @@ def compile_model(
     all_colors = tuple(sorted(sequence.colors(), key=color_sort_key))
     cid_of = {color: i + 1 for i, color in enumerate(all_colors)}
 
-    jobs: list[CompiledJob] = []
-    excluded = 0
+    per_round: dict[int, dict[int, dict[int, int]]] = defaultdict(
+        lambda: defaultdict(dict)
+    )
+    num_jobs = excluded = 0
     for job in sequence.jobs():
         if job.arrival >= horizon:
             excluded += 1
             continue
-        jobs.append(CompiledJob(
-            uid=job.uid,
-            cid=cid_of[job.color],
-            arrival=job.arrival,
-            deadline=job.deadline,
-            window_end=min(job.deadline, horizon),
-        ))
-
-    per_round: dict[int, dict[int, dict[int, int]]] = defaultdict(
-        lambda: defaultdict(dict)
-    )
-    for job in jobs:
-        bucket = per_round[job.arrival][job.cid]
+        num_jobs += 1
+        bucket = per_round[job.arrival][cid_of[job.color]]
         bucket[job.deadline] = bucket.get(job.deadline, 0) + 1
     arrivals = {
         rnd: {
@@ -178,7 +135,7 @@ def compile_model(
         horizon=horizon,
         delta=instance.delta,
         colors=all_colors,
-        jobs=tuple(jobs),
+        num_jobs=num_jobs,
         arrivals=arrivals,
         excluded_jobs=excluded,
     )

@@ -17,8 +17,8 @@ Cell schema (one per workload, inside the ``bench-opt-v1`` payload)::
       "horizon":       solve horizon (== the sequence horizon here),
       "jobs":          number of jobs,
       "opt_cost":      exact optimum,
-      "opt_backend":   backend that produced it ("brute" | "z3"),
-      "opt_states":    brute memo size (null for z3),
+      "opt_backend":   backend that produced it ("brute"),
+      "opt_states":    brute memo size,
       "opt_reconfigs": reconfiguration count of the decoded optimum,
       "opt_validated": True — construction is validation (repro.opt.decode),
       "opt_digest":    engine-free schedule digest of the decoded optimum,
@@ -30,8 +30,8 @@ Cell schema (one per workload, inside the ``bench-opt-v1`` payload)::
 
 Cells are cached through :class:`repro.experiments.cache.ResultCache`
 under ``kind="opt-ratio"`` with the opt backend and solve horizon folded
-into the key — switching backends (or truncating the horizon) can never
-serve a stale OPT from cache.
+into the key — a cell solved under another backend name or a truncated
+horizon can never serve a stale OPT from cache.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from typing import Callable, Mapping
 
 from repro import __version__
 from repro.analysis.reporting import Table
+from repro.core.engine import resolve_engine
 from repro.core.request import Instance
 from repro.core.simulator import simulate
 from repro.experiments.cache import ResultCache, cache_key
@@ -167,10 +168,11 @@ def _compute_cell(
         "policy_costs": {},
         "ratios": {},
     }
+    incremental = resolve_engine(engine) != "reference"
     for policy_name in RATIO_POLICIES:
         run = simulate(
             instance,
-            make_policy(policy_name, instance.delta),
+            make_policy(policy_name, instance.delta, incremental=incremental),
             n=case.n,
             record_events=False,
             engine=engine,

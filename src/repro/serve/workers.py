@@ -47,6 +47,7 @@ a recovering worker must not be re-killed by the rule that killed it.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing as mp
 import time
 from multiprocessing.connection import wait as _conn_wait
@@ -87,6 +88,8 @@ def _shard_worker_main(
     handles it as a crash, which is exactly what injected ``raise``
     faults are meant to exercise.
     """
+    # Untrack the inherited heap: its first full GC cost a tick 30-85 ms.
+    gc.freeze()
     faults.mark_worker()
     if fault_plan_json:
         faults.install_plan(faults.FaultPlan.from_json(fault_plan_json))

@@ -51,6 +51,37 @@ class TestSolve:
             "--n", "4", "--delta", "2", "--horizon", "16",
         ]) == 0
 
+    def test_engine_selects_the_policy_path_too(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # `--engine reference` must run the reference policy path, not
+        # only the reference simulator: in `repro solve` and in the ratio
+        # dashboard behind `repro opt`.
+        from repro import cli
+        from repro.opt import ratios
+
+        seen = set()
+
+        def spy(simulate):
+            def run(instance, policy, **kwargs):
+                seen.add((kwargs["engine"], policy.incremental))
+                return simulate(instance, policy, **kwargs)
+            return run
+
+        monkeypatch.setattr(cli, "simulate", spy(cli.simulate))
+        monkeypatch.setattr(ratios, "simulate", spy(ratios.simulate))
+        for engine in ("reference", "incremental"):
+            assert main([
+                "solve", "--workload", "uniform", "--policy", "dlru-edf",
+                "--n", "4", "--delta", "2", "--horizon", "16",
+                "--engine", engine,
+            ]) == 0
+            assert main([
+                "opt", "--no-cache", "--engine", engine,
+                "--out", str(tmp_path / "opt.json"),
+            ]) == 0
+        assert seen == {("reference", False), ("incremental", True)}
+
 
 class TestVersion:
     def test_version_flag_prints_and_exits_zero(self, capsys):

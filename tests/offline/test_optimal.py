@@ -6,7 +6,9 @@ import pytest
 from repro.core.job import Job
 from repro.core.request import Instance, RequestSequence
 from repro.core.schedule import validate_schedule
-from repro.opt import SearchBudgetExceeded, solve_opt
+from repro.opt import SearchBudgetExceeded, compile_model, solve_opt
+
+from tests.opt import reference_dp
 
 
 def inst_of(jobs, delta=2):
@@ -73,6 +75,14 @@ class TestExactValues:
             solve_opt(inst_of(jobs, delta=d), m=1).cost for d in (1, 2, 4, 8)
         ]
         assert costs == sorted(costs)
+
+    def test_agrees_with_reference_dp(self):
+        jobs = [J(c % 3, r, 2) for r in range(0, 6, 2) for c in range(4)]
+        inst = inst_of(jobs, delta=2)
+        for m in (1, 2, 3):
+            model = compile_model(inst, m)
+            expected = reference_dp.solve_brute(model).cost
+            assert solve_opt(inst, m).cost == expected
 
 
 class TestScheduleReconstruction:

@@ -4,9 +4,11 @@ The functions below are the earlier ``repro.opt.brute`` search, kept
 verbatim as the reference that ``tests/opt/test_same_search.py``
 compares the current search with: same memo states, same configurations,
 same cost for integer ``Delta``, and ``SearchBudgetExceeded`` at the same
-``max_states``.  Only the exception class is imported instead of defined,
-so both searches raise the one class.  It rebuilds and sorts the pending
-summary on every call, and publishes its cost summed in recursion order.
+``max_states``.  Two edits only: the exception class is imported instead
+of defined, so both searches raise the one class, and the ``Solution``
+it builds passes only the fields ``Solution`` has today.  It rebuilds
+and sorts the pending summary on every call, and publishes its cost
+summed in recursion order.
 """
 
 from __future__ import annotations
@@ -183,5 +185,4 @@ def solve_brute(model: OptModel, max_states: int = 2_000_000) -> Solution:
         configs=tuple(configs),
         backend="brute",
         states=len(memo),
-        stats={"states": len(memo)},
     )

@@ -82,15 +82,15 @@ class TestCaching:
         assert strip(cold["cells"]) == strip(warm["cells"])
 
     def test_cache_key_separates_backend_and_horizon(self):
-        # Regression: a z3 OPT (or a truncated-horizon OPT) must never be
-        # served for a brute full-horizon request — the identity fields
-        # ride in the key's `extra` mapping.
+        # Regression: an OPT from another backend (or a truncated-horizon
+        # OPT) must never be served for a brute full-horizon request — the
+        # identity fields ride in the key's `extra` mapping.
         base = dict(n=4, m=4, delta=2, engine="incremental")
         keys = {
             cache_key("ratio:x", "quick", kind="opt-ratio",
                       extra={**base, "backend": "brute", "horizon": 9}),
             cache_key("ratio:x", "quick", kind="opt-ratio",
-                      extra={**base, "backend": "z3", "horizon": 9}),
+                      extra={**base, "backend": "other", "horizon": 9}),
             cache_key("ratio:x", "quick", kind="opt-ratio",
                       extra={**base, "backend": "brute", "horizon": 5}),
         }
