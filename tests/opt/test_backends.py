@@ -1,7 +1,7 @@
-"""Backend tests: exact values, registry semantics, and validation wiring.
+"""Backend tests: registry semantics and validation wiring.
 
-The exact-value cases go through ``solve_opt(backend="brute")``; the same
-numbers are pinned without a backend name in ``tests/offline/test_optimal.py``.
+The exact values and the search budget guard are pinned through
+``solve_opt`` in ``tests/offline/test_optimal.py``.
 """
 
 import pytest
@@ -9,14 +9,7 @@ import pytest
 from repro.core.job import Job
 from repro.core.request import Instance, RequestSequence
 from repro.workloads import poisson_workload
-from repro.opt import (
-    BACKENDS,
-    SearchBudgetExceeded,
-    compile_model,
-    resolve_backend,
-    solve_brute,
-    solve_opt,
-)
+from repro.opt import BACKENDS, resolve_backend, solve_opt
 
 
 def inst_of(jobs, delta=2):
@@ -25,41 +18,6 @@ def inst_of(jobs, delta=2):
 
 def J(color, arrival, bound):
     return Job(color=color, arrival=arrival, delay_bound=bound)
-
-
-def brute_cost(inst, m, **kwargs):
-    return solve_opt(inst, m, backend="brute", **kwargs).cost
-
-
-class TestExactValues:
-    """Same instances and numbers as the offline solver's unit tests."""
-
-    def test_empty_instance_costs_nothing(self):
-        assert brute_cost(inst_of([]), m=1) == 0
-
-    def test_single_job_costs_min_of_delta_and_drop(self):
-        assert brute_cost(inst_of([J(0, 0, 2)], delta=3), m=1) == 1
-        assert brute_cost(inst_of([J(0, 0, 2)], delta=1), m=1) == 1
-
-    def test_many_jobs_justify_reconfiguration(self):
-        jobs = [J(0, 0, 8) for _ in range(5)]
-        assert brute_cost(inst_of(jobs, delta=3), m=1) == 3
-
-    def test_capacity_forces_drops(self):
-        jobs = [J(0, 0, 2) for _ in range(4)]
-        assert brute_cost(inst_of(jobs, delta=1), m=1) == 1 + 2
-
-    def test_two_colors_one_resource(self):
-        jobs = [J(0, 0, 2), J(1, 0, 2), J(0, 2, 2), J(1, 2, 2)]
-        assert brute_cost(inst_of(jobs, delta=1), m=1) == 3
-
-    def test_second_resource_helps(self):
-        jobs = [J(0, 0, 2), J(1, 0, 2), J(0, 2, 2), J(1, 2, 2)]
-        assert brute_cost(inst_of(jobs, delta=1), m=2) == 2
-
-    def test_replication_on_one_color(self):
-        jobs = [J(0, 0, 2) for _ in range(4)]
-        assert brute_cost(inst_of(jobs, delta=1), m=2) == 2
 
 
 class TestRegistry:
@@ -76,19 +34,6 @@ class TestRegistry:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown opt backend"):
             resolve_backend("simplex")
-
-
-class TestBruteMechanics:
-    def test_budget_guard(self):
-        jobs = [J(c, r, 4) for r in range(0, 16, 4) for c in range(4)]
-        model = compile_model(inst_of(jobs, delta=1), m=2)
-        with pytest.raises(SearchBudgetExceeded):
-            solve_brute(model, max_states=10)
-
-    def test_states_reported(self):
-        jobs = [J(0, 0, 4) for _ in range(3)]
-        result = solve_opt(inst_of(jobs, delta=2), m=1)
-        assert result.states is not None and result.states > 0
 
 
 class TestValidationWiring:
