@@ -20,27 +20,29 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
+
+from repro.core.events import EventLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.events import EventLog
     from repro.core.ledger import CostLedger
     from repro.core.schedule import Schedule
     from repro.core.simulator import SimulationResult
 
 __all__ = [
     "component_digests",
-    "digest_payload",
     "result_digest",
     "result_digests",
-    "run_digest",
     "schedule_digests",
 ]
 
 
+def _dumps(obj: object) -> str:
+    return json.dumps(obj, sort_keys=True, default=str)
+
+
 def _sha(obj: object) -> str:
-    blob = json.dumps(obj, sort_keys=True, default=str).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return hashlib.sha256(_dumps(obj).encode()).hexdigest()
 
 
 def _per_color(counter) -> dict[str, int]:
@@ -50,34 +52,24 @@ def _per_color(counter) -> dict[str, int]:
     }
 
 
-def digest_payload(
-    ledger: "CostLedger",
-    schedule: "Schedule",
-    events: Iterable,
-    executed_uids: Iterable[int],
-    dropped_uids: Iterable[int],
-) -> dict:
-    """Everything the bit-identity contract covers, canonically ordered."""
-    return {
-        "ledger": ledger.summary(),
-        "reconfigs_per_color": _per_color(ledger.reconfigs_per_color),
-        "drops_per_color": _per_color(ledger.drops_per_color),
-        "schedule": schedule.to_json(),
-        "events": [repr(e) for e in events],
-        "executed": sorted(executed_uids),
-        "dropped": sorted(dropped_uids),
-    }
+def _event_chunks(events: Iterable) -> Iterator[bytes]:
+    """The JSON list of the events' ``repr`` strings, one chunk per batch.
 
-
-def run_digest(
-    ledger: "CostLedger",
-    schedule: "Schedule",
-    events: Iterable,
-    executed_uids: Iterable[int],
-    dropped_uids: Iterable[int],
-) -> str:
-    """SHA-256 over everything the bit-identity contract covers."""
-    return _sha(digest_payload(ledger, schedule, events, executed_uids, dropped_uids))
+    The chunks concatenate to ``json.dumps([repr(e) for e in events])``.
+    An :class:`~repro.core.events.EventLog` formats each batch's reprs
+    from its fields; any other iterable of events is logged first.
+    """
+    log = events
+    if not isinstance(log, EventLog):
+        log = EventLog()
+        log.extend(events)
+    yield b"["
+    sep = b""
+    for reprs in log.reprs():
+        # ``json.dumps`` of a list of strings, minus its brackets.
+        yield sep + json.dumps(reprs)[1:-1].encode()
+        sep = b", "
+    yield b"]"
 
 
 def component_digests(
@@ -92,17 +84,46 @@ def component_digests(
     The components let a mismatch report say *what* diverged (costs vs
     schedule vs event stream) without shipping the full artifacts over
     the wire — this is the shape the serve ``stats`` frame returns.
+
+    Each digest is the SHA-256 of ``json.dumps(obj, sort_keys=True,
+    default=str)``: ``ledger`` of the ledger summary with the per-color
+    counts, ``schedule`` of :meth:`Schedule.to_json
+    <repro.core.schedule.Schedule.to_json>`, ``events`` of the list of
+    event ``repr`` strings, and ``run`` of one object holding all of
+    them plus the sorted ``executed`` and ``dropped`` uid lists.  The
+    event list is hashed in one streamed pass that feeds ``events`` and
+    ``run`` together, so no blob of the whole run is ever built.
     """
-    payload = digest_payload(ledger, schedule, events, executed_uids, dropped_uids)
+    counts = {
+        "ledger": ledger.summary(),
+        "reconfigs_per_color": _per_color(ledger.reconfigs_per_color),
+        "drops_per_color": _per_color(ledger.drops_per_color),
+    }
+    parts = {
+        **{key: _dumps(value) for key, value in counts.items()},
+        "schedule": _dumps(schedule.to_json()),
+        "events": None,  # streamed
+        "executed": _dumps(sorted(executed_uids)),
+        "dropped": _dumps(sorted(dropped_uids)),
+    }
+    events_sha = hashlib.sha256()
+    run = hashlib.sha256()
+    sep = "{"
+    for key in sorted(parts):
+        run.update(f"{sep}{json.dumps(key)}: ".encode())
+        sep = ", "
+        if key == "events":
+            for chunk in _event_chunks(events):
+                events_sha.update(chunk)
+                run.update(chunk)
+        else:
+            run.update(parts[key].encode())
+    run.update(b"}")
     return {
-        "ledger": _sha({
-            "ledger": payload["ledger"],
-            "reconfigs_per_color": payload["reconfigs_per_color"],
-            "drops_per_color": payload["drops_per_color"],
-        }),
-        "schedule": _sha(payload["schedule"]),
-        "events": _sha(payload["events"]),
-        "run": _sha(payload),
+        "ledger": _sha(counts),
+        "schedule": hashlib.sha256(parts["schedule"].encode()).hexdigest(),
+        "events": events_sha.hexdigest(),
+        "run": run.hexdigest(),
     }
 
 
@@ -128,14 +149,8 @@ def schedule_digests(
 
 
 def result_digest(result: "SimulationResult") -> str:
-    """SHA-256 of a :class:`~repro.core.simulator.SimulationResult`."""
-    return run_digest(
-        result.ledger,
-        result.schedule,
-        result.events,
-        result.executed_uids,
-        result.dropped_uids,
-    )
+    """The ``run`` digest of a :class:`~repro.core.simulator.SimulationResult`."""
+    return result_digests(result)["run"]
 
 
 def result_digests(result: "SimulationResult") -> dict[str, str]:

@@ -166,10 +166,22 @@ class LiveSequence:
             prev = fresh.setdefault(color, bound)
             if prev != bound:
                 raise _bound_conflict(color, prev, bound)
-        self._bounds.update(fresh)
+        self.push_checked(jobs)
+
+    def push_checked(self, jobs: Sequence[Job]) -> None:
+        """Admit a batch that already passed :meth:`push_many`'s checks.
+
+        The caller guarantees that each job passes :meth:`check` with the
+        bounds of the jobs before it in the batch registered, and must
+        not mutate the sequence between that check and this call; the
+        serve admission gate validates a whole submit that way before it
+        commits one.  Nothing is checked again here.
+        """
+        bounds = self._bounds
         buckets = self._buckets
         max_deadline = self._max_deadline
         for job in jobs:
+            bounds[job.color] = job.delay_bound
             arrival = job.arrival
             bucket = buckets.get(arrival)
             if bucket is None:

@@ -22,13 +22,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.core.events import (
-    ArrivalEvent,
-    DropEvent,
-    EventLog,
-    ExecutionEvent,
-    ReconfigEvent,
-)
+from repro.core.events import EventLog
 from repro.core.job import Color, Job
 from repro.core.ledger import CostLedger
 from repro.core.pending import PendingStore
@@ -156,7 +150,6 @@ class Simulator:
         self.ledger = CostLedger(self.delta)
         self.events = EventLog(enabled=record_events)
         self.schedule = Schedule(n=n, speed=speed)
-        self._record = record_events
         self.executed_uids: set[int] = set()
         self.dropped_uids: set[int] = set()
         self.round = -1
@@ -234,8 +227,7 @@ class Simulator:
         if dropped:
             self.ledger.charge_drops(rnd, [job.color for job in dropped])
             self.dropped_uids.update([job.uid for job in dropped])
-            if self._record:
-                self.events.extend([DropEvent(rnd, 0, job) for job in dropped])
+            self.events.record_drops(rnd, dropped)
         self.policy.on_drop_phase(rnd, dropped)
         self.last_dropped = dropped
         t1 = tick() if live else 0.0
@@ -245,8 +237,7 @@ class Simulator:
         add = self.pending.add
         for job in request:
             add(job)
-        if self._record:
-            self.events.extend([ArrivalEvent(rnd, 0, job) for job in request])
+        self.events.record_arrivals(rnd, request)
         self.policy.on_arrival_phase(rnd, request)
         t2 = tick() if live else 0.0
 
@@ -260,8 +251,7 @@ class Simulator:
             changes = self.bank.reconfigure_to(desired, rnd, self.ledger)
             for loc, old, new in changes:
                 self.schedule.add_reconfig(rnd, loc, new, mini)
-                if self._record:
-                    self.events.append(ReconfigEvent(rnd, mini, loc, old, new))
+            self.events.record_reconfigs(rnd, mini, changes)
             recolored += len(changes)
             if live:
                 t3 = tick()
@@ -286,8 +276,7 @@ class Simulator:
                     executed.append((loc, job))
                     self.executed_uids.add(job.uid)
                     self.schedule.add_execution(rnd, loc, job.uid, mini)
-                    if self._record:
-                        self.events.append(ExecutionEvent(rnd, mini, loc, job))
+            self.events.record_executions(rnd, mini, executed)
             self.policy.on_execution_phase(rnd, mini, executed)
             round_executed += executed
             if live:

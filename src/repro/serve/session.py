@@ -251,9 +251,9 @@ class AdmissionGate:
         self._in_flight = [0] * len(self._lives)
         self._seen_uids: set[int] = set()
         self._closed = False
-        #: kept-job count of the last successful validate; None once
-        #: committed (or after a failed validate).
-        self._validated: int | None = None
+        #: shard id of each kept job of the last successful validate, in
+        #: batch order; None once committed (or after a failed validate).
+        self._validated: list[int] | None = None
         #: registration-time tenant admission (BDR composition against the
         #: shard capacities) plus per-tenant counters.
         self.tenants = TenantDirectory(
@@ -296,11 +296,6 @@ class AdmissionGate:
     def closed(self) -> bool:
         return self._closed
 
-    def _shard_ids(self, jobs: Sequence[Job]) -> list[int]:
-        """Each job's shard id, in batch order."""
-        num = len(self._lives)
-        return [shard_of(job.color, num) for job in jobs]
-
     def validate(self, jobs: Sequence[Job], trace: str | None = None) -> None:
         """Phase 1 of admission: check every rule, touch no state.
 
@@ -330,8 +325,8 @@ class AdmissionGate:
         indexed: Iterable[tuple[int, Job]] = enumerate(jobs)
         if not self.tenants.empty:
             indexed = self._plan_sheds(list(indexed))
-        sids = self._shard_ids(self.last_kept)
         lives = self._lives
+        sids = [shard_of(job.color, len(lives)) for job in self.last_kept]
         seen = self._seen_uids
         bounds: dict[Color, int] = {}
         batch_uids: set[int] = set()
@@ -372,7 +367,7 @@ class AdmissionGate:
             {"shard": sid, "verdict": "ok", "jobs": load[sid], "trace": trace}
             for sid in sorted(load)
         ]
-        self._validated = len(sids)
+        self._validated = sids
 
     def _plan_sheds(self, indexed: list[tuple[int, Job]]) -> list[tuple[int, Job]]:
         """Per-shard, per-tenant shed planning (pure).  Fills ``last_shed``
@@ -398,26 +393,28 @@ class AdmissionGate:
         """Phase 2 of admission: buffer a *validated* batch on its shards.
 
         Preserves batch order within each shard: each shard's slice goes
-        in with one :meth:`LiveSequence.push_many
-        <repro.core.live.LiveSequence.push_many>`.  Callers must have run
-        :meth:`validate` on exactly this batch with no mutation in
-        between — with tenants registered that means committing
-        ``last_kept``, not the raw batch; commit itself cannot fail.
+        in with one :meth:`LiveSequence.push_checked
+        <repro.core.live.LiveSequence.push_checked>`, routed by the shard
+        ids :meth:`validate` computed, so no job is checked or hashed
+        twice.  Callers must have run :meth:`validate` on exactly this
+        batch with no mutation in between — with tenants registered that
+        means committing ``last_kept``, not the raw batch; commit itself
+        cannot fail.
         Tenant buckets are debited here (never during validation), so a
         batch another rule rejects leaves the meters untouched.  Returns
         the per-shard slices, in order of first appearance.
         """
         if self._validated is None:
             raise RuntimeError("commit without a matching validate")
-        validated, self._validated = self._validated, None
-        if validated != len(jobs):
+        sids, self._validated = self._validated, None
+        if len(sids) != len(jobs):
             raise RuntimeError("commit batch does not match validated batch")
         slices: dict[int, list[Job]] = {}
-        for sid, job in zip(self._shard_ids(jobs), jobs):
+        for sid, job in zip(sids, jobs):
             slices.setdefault(sid, []).append(job)
         metered = not self.tenants.empty
         for sid, part in slices.items():
-            self._lives[sid].push_many(part)
+            self._lives[sid].push_checked(part)
             self._in_flight[sid] += len(part)
             if metered:
                 self._meters[sid].debit(part)

@@ -3,11 +3,13 @@
 ``job_from_wire`` tests exact types before the ABC checks and decodes
 int and str colors without ``decode_color``, ``ShardedSession.validate``
 routes the batch once before its per-job loop, and
-``ShardedSession.commit`` pushes each shard's slice with one
-``LiveSequence.push_many``.  The per-job code they replaced is kept
-below, verbatim, as the reference: Hypothesis checks that every
-generated input gets the same job, or the same error code and message,
-or the same accepted batch and state.
+``ShardedSession.commit`` appends each shard's slice with one
+``LiveSequence.push_checked``, routed by the shard ids ``validate``
+computed, so each job is checked once.  ``LiveSequence.push_many``
+checks and appends a batch in one call.  The per-job code they
+replaced is kept below, verbatim, as the reference: Hypothesis checks
+that every generated input gets the same job, or the same error code
+and message, or the same accepted batch and state.
 
 The one intended difference: the reference decoder accepts an
 unhashable color (a list, an object), which then crashed the session;
@@ -334,6 +336,21 @@ class TestAdmissionMatchesReference:
         for ref, shard in zip(expected, session.shards):
             assert _live_state(shard.live) == _live_state(ref)
         assert all(job.uid in session._seen_uids for job in batch)
+
+
+    def test_submit_checks_each_job_once(self, monkeypatch):
+        calls = []
+        check = LiveSequence.check
+
+        def counted(live, *args):
+            calls.append(args)
+            check(live, *args)
+
+        monkeypatch.setattr(LiveSequence, "check", counted)
+        session = _session(shards=2, max_pending=100)
+        batch = [Job(c, 0, 2, uid=i) for i, c in enumerate("abcabd")]
+        session.submit(batch)
+        assert len(calls) == len(batch)
 
 
 class TestPushManyMatchesPerJobPushes:
