@@ -25,7 +25,7 @@ from repro.core.engine import resolve_engine
 from repro.core.request import Instance
 from repro.core.simulator import simulate
 from repro.experiments import EXPERIMENTS, run_experiment
-from repro.experiments.runner import run_parallel
+from repro.experiments.runner import resolve_jobs, run_parallel
 from repro.policies import POLICY_FACTORIES, make_policy
 from repro.reductions.pipeline import solve_online
 from repro.workloads import (
@@ -96,24 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="explicit destination for the --stats JSON payload "
                        "(parent directories are created; the default lives "
                        "under the git-ignored benchmarks/output/local/)")
-    p_all.add_argument("--retries", type=int, default=2,
-                       help="extra attempts per task before quarantine "
-                       "(default 2; retries back off deterministically)")
-    p_all.add_argument("--task-timeout", type=float, default=None,
-                       metavar="SECONDS",
-                       help="per-attempt wall-clock budget; a task past it "
-                       "has its worker killed and is retried (pool mode only)")
-    p_all.add_argument("--resume", action="store_true",
-                       help="restore cells journaled by a previous identical "
-                       "run from the cache and recompute only the missing "
-                       "ones (requires the cache; see --manifest)")
-    p_all.add_argument("--manifest", default=None, metavar="PATH",
-                       help="checkpoint journal location (default: derived "
-                       "from the run identity under the cache root)")
-    p_all.add_argument("--inject-faults", default=None, metavar="PLAN",
-                       help="deterministic chaos: a fault-plan JSON document "
-                       "or a path to one (see repro.faults; kinds: raise, "
-                       "corrupt, hang, kill)")
     p_all.add_argument("--ratios", action="store_true",
                        help="additionally run the competitive-ratio dashboard "
                        "(exact offline OPT per workload, see 'repro opt') and "
@@ -308,7 +290,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          "is killed and respawned (default: 30)")
     p_serve.add_argument("--inject-faults", default=None, metavar="PLAN",
                          help="fault plan (inline JSON or a path) installed "
-                         "in shard workers; REPRO_FAULT_PLAN also works")
+                         "in --workers shard workers; kinds: raise, hang, "
+                         "kill")
     p_serve.add_argument("--tenants", default=None, metavar="PLAN_JSON",
                          help="tenant plan file ({'tenants': [...]}); each "
                          "entry is a named color set with an exact (rate, "
@@ -428,11 +411,12 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
     if not (deltas and ns and seeds):
         raise SystemExit("sweep needs at least one delta, one n, and one seed")
     points = grid(delta=deltas, n=ns, seed=seeds)
+    jobs = resolve_jobs(args.jobs)
     sweep = run_sweep(
         points,
         partial(_sweep_build, args.workload, args.horizon),
         _sweep_run,
-        jobs=args.jobs,
+        jobs=jobs,
     )
     if args.value not in sweep.rows[0]:
         choices = sorted(k for k in sweep.rows[0] if k not in ("delta", "n", "seed"))
@@ -450,7 +434,7 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
         title=f"{args.workload}: mean {args.value} over {len(seeds)} seed(s)",
     )
     print(table.render())
-    print(f"\n{len(points)} cells (jobs={max(1, args.jobs)})")
+    print(f"\n{len(points)} cells (jobs={jobs})")
     return 0
 
 
@@ -834,8 +818,6 @@ def _main(argv: Sequence[str] | None = None) -> int:
         return 0 if result.all_passed else 1
 
     if args.command == "all":
-        if args.resume and args.no_cache:
-            raise SystemExit("--resume needs the result cache; drop --no-cache")
         report = run_parallel(
             list(EXPERIMENTS),
             scale=args.scale,
@@ -843,23 +825,12 @@ def _main(argv: Sequence[str] | None = None) -> int:
             root_seed=args.seed,
             use_cache=not args.no_cache,
             collect_telemetry=args.stats,
-            retries=args.retries,
-            task_timeout=args.task_timeout,
-            resume=args.resume,
-            manifest_path=args.manifest,
-            fault_plan=args.inject_faults,
         )
         for result in report.results.values():
             print(result.render())
             print()
-        attempted = len(EXPERIMENTS)
-        print(f"{len(report.results) - report.failures}/{attempted} "
+        print(f"{len(report.results) - report.failures}/{len(report.results)} "
               f"experiments passed all checks")
-        if report.failed:
-            print(f"quarantined {report.quarantined}/{attempted} tasks:")
-            for failure in report.failed:
-                print(f"  - {failure.label}: {failure.kind} after "
-                      f"{failure.attempts} attempt(s) — {failure.message}")
         if args.stats:
             print()
             print(report.stats_table().render())
@@ -880,11 +851,8 @@ def _main(argv: Sequence[str] | None = None) -> int:
             print(f"wrote {out}")
             ratios_ok = payload["ok"]
         # Nonzero whenever CI must not silently pass: a failed experiment
-        # check, a quarantined task, or a failed ratio-dashboard check.
-        return (
-            0 if report.failures == 0 and not report.failed and ratios_ok
-            else 1
-        )
+        # check or a failed ratio-dashboard check.
+        return 0 if report.failures == 0 and ratios_ok else 1
 
     if args.command == "sweep":
         return _run_sweep_command(args)

@@ -1,85 +1,55 @@
-"""Parallel experiment engine: supervised fan-out, caching, checkpointing.
+"""Parallel experiment engine: one process pool, request-order results, caching.
 
 ``repro.cli all`` used to walk the 19-experiment registry serially in one
 process.  This module fans registry experiments, Monte-Carlo seed
-replications, and sweep grids out over the supervised pool in
-:mod:`repro.experiments.supervisor` while keeping four guarantees:
+replications, and sweep grids out over one stdlib process pool
+(:func:`pool_map`) while keeping three guarantees:
 
 1. **Determinism** — task seeds come from :mod:`repro.experiments.seeds`
    (pure functions of ``(root_seed, task label)``), and results are
    reassembled in *request* order, never completion order.  ``jobs=1`` and
-   ``jobs=N`` therefore produce bit-identical payloads, and a fault-free
-   supervised run is byte-identical to the pre-supervision engine.
-2. **Fault tolerance** — every task runs under per-attempt timeouts and
-   bounded deterministic-backoff retries; worker deaths rebuild the pool;
-   tasks that exhaust their budget land in :attr:`RunReport.failed`
-   instead of aborting the run.  Chaos behaviour is exercised by the
-   deterministic plans in :mod:`repro.faults`.
-3. **Checkpoint/resume** — completed cells are journaled through the
-   content-addressed :class:`~repro.experiments.cache.ResultCache` plus a
-   :class:`~repro.experiments.manifest.RunManifest`, so an interrupted
-   run resumed with ``resume=True`` recomputes only the missing cells
-   (journaled ones are restored in the parent, counted as cache hits).
-4. **Observability** — every task yields a :class:`TaskRecord` (wall time,
-   cache hit/miss, attempts, result digest, worker pid); supervisor
-   counters (retries, timeouts, rebuilds, quarantines) merge into
-   ``report.telemetry`` alongside the per-worker engine snapshots.
+   ``jobs=N`` therefore produce bit-identical payloads.
+2. **Rerun after a crash** — each worker stores its cell in the
+   content-addressed :class:`~repro.experiments.cache.ResultCache` as soon
+   as the cell is done, and a task that raises propagates only after every
+   other task has finished.  A plain rerun of an interrupted or failed run
+   therefore serves every finished cell from the cache and recomputes only
+   the missing ones.
+3. **Observability** — every task yields a :class:`TaskRecord` (wall time,
+   cache hit/miss, result digest, worker pid), and per-worker engine
+   telemetry snapshots merge into ``report.telemetry``.
 
 Workers receive only picklable primitives (experiment id, scale, cache
-directory, attempt number); the experiment callable is looked up in the
-registry *inside* the worker, so nothing fragile crosses the process
-boundary.
+directory); the experiment callable is looked up in the registry *inside*
+the worker, so nothing fragile crosses the process boundary.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from repro import faults
 from repro.analysis.reporting import Table, stats_table
 from repro.experiments.cache import ResultCache, cache_key
 from repro.experiments.common import ExperimentResult
-from repro.experiments.manifest import RunManifest
 from repro.experiments.montecarlo import Replication
 from repro.experiments.registry import EXPERIMENTS, run_experiment
 from repro.experiments.seeds import replication_seeds
-from repro.experiments.supervisor import (
-    SupervisorConfig,
-    TaskFailure,
-    TaskOutcome,
-    supervised_map,
-)
 from repro.telemetry import TelemetryRecorder, merge_snapshots
 from repro.telemetry.recorder import get_recorder, set_recorder
-from repro import __version__
 
 __all__ = [
     "TaskRecord",
     "RunReport",
-    "QuarantineError",
+    "pool_map",
     "run_parallel",
     "replicate_parallel",
     "resolve_jobs",
 ]
-
-
-class QuarantineError(RuntimeError):
-    """Raised when an API with no partial-result channel loses cells.
-
-    Carries the :class:`TaskFailure` list so callers can inspect, report,
-    and resume.  Only used where silently dropping cells would corrupt an
-    aggregate (Monte-Carlo replication); ``run_parallel`` reports failures
-    through :attr:`RunReport.failed` instead.
-    """
-
-    def __init__(self, failures: list[TaskFailure]):
-        self.failures = failures
-        detail = "; ".join(f"{f.label}: {f.kind} after {f.attempts} attempts"
-                           for f in failures)
-        super().__init__(f"{len(failures)} task(s) quarantined: {detail}")
 
 
 @dataclass(frozen=True)
@@ -95,8 +65,6 @@ class TaskRecord:
     checks_passed: int
     checks_total: int
     worker_pid: int
-    #: attempts the supervisor spent (0 = restored from a checkpoint).
-    attempts: int = 1
     #: result fingerprint (sha256 of the canonical payload), when known.
     fingerprint: str | None = None
 
@@ -109,7 +77,6 @@ class TaskRecord:
             "wall_time_s": round(self.wall_time, 4),
             "rounds": self.rounds,
             "checks": f"{self.checks_passed}/{self.checks_total}",
-            "attempts": self.attempts,
             "digest": self.fingerprint[:12] if self.fingerprint else "-",
             "worker_pid": self.worker_pid,
         }
@@ -125,24 +92,14 @@ class RunReport:
     root_seed: int = 0
     #: merged per-worker telemetry snapshot (empty unless collection was on).
     telemetry: dict = field(default_factory=dict)
-    #: quarantined tasks — failed every attempt; the rest of the run completed.
-    failed: list[TaskFailure] = field(default_factory=list)
-    #: supervisor counters: retries/timeouts/rebuilds/quarantined/degraded.
-    supervisor: dict = field(default_factory=dict)
 
     @property
     def cache_hits(self) -> int:
         return sum(1 for r in self.records if r.cache_hit)
 
     @property
-    def quarantined(self) -> int:
-        return len(self.failed)
-
-    @property
     def all_passed(self) -> bool:
-        return not self.failed and all(
-            result.all_passed for result in self.results.values()
-        )
+        return all(result.all_passed for result in self.results.values())
 
     @property
     def failures(self) -> int:
@@ -173,11 +130,7 @@ class RunReport:
             "cache_hits": self.cache_hits,
             "task_wall_time_s": round(sum(r.wall_time for r in self.records), 4),
             "records": [r.as_dict() for r in self.records],
-            "quarantined": self.quarantined,
-            "failed": [f.as_dict() for f in self.failed],
         }
-        if self.supervisor:
-            payload["supervisor"] = dict(self.supervisor)
         if self.telemetry:
             payload["telemetry"] = self.telemetry
         return payload
@@ -198,6 +151,31 @@ def resolve_jobs(jobs: int | None) -> int:
     if jobs is None or jobs <= 0:
         return max(1, os.cpu_count() or 1)
     return jobs
+
+
+def pool_map(fn: Callable, tasks: Sequence[tuple], jobs: int) -> list:
+    """``[fn(*task) for task in tasks]`` over ``jobs`` worker processes.
+
+    ``jobs <= 1`` (or a single task) runs inline — no pool, no pickling —
+    which is the reference every parallel run must match bit-for-bit.
+    Otherwise ``fn`` must be picklable (module-level) and the tasks go to
+    a :class:`~concurrent.futures.ProcessPoolExecutor`; results come back
+    in request order.  Unlike ``Executor.map``, every task runs to
+    completion before the first failure (in request order) is raised, so
+    every cell that succeeded has reached the result cache.
+
+    Workers are spawned, not forked: each starts from a fresh import, so
+    nothing but the task arguments crosses, on every platform, and no
+    thread the parent holds is forked into a child.
+    """
+    if jobs <= 1 or len(tasks) <= 1:
+        return [fn(*task) for task in tasks]
+    with ProcessPoolExecutor(
+        max_workers=min(jobs, len(tasks)),
+        mp_context=multiprocessing.get_context("spawn"),
+    ) as pool:
+        futures = [pool.submit(fn, *task) for task in tasks]
+    return [future.result() for future in futures]
 
 
 def _rounds_of(result: ExperimentResult) -> int | None:
@@ -235,49 +213,21 @@ def _rounds_of(result: ExperimentResult) -> int | None:
     return total if parsed else None
 
 
-def _resolve_plan_json(fault_plan) -> str | None:
-    """Canonical plan JSON from an explicit arg, else the ambient plan.
-
-    ``fault_plan`` accepts a :class:`~repro.faults.FaultPlan`, inline
-    JSON, or a path.  With no explicit argument the process-installed
-    plan / ``REPRO_FAULT_PLAN`` environment fallback applies, resolved
-    *here* in the parent and shipped to workers explicitly so behaviour
-    is identical under any multiprocessing start method.
-    """
-    if fault_plan is not None:
-        plan = faults.FaultPlan.from_arg(fault_plan)
-    else:
-        plan = faults.active_plan()
-    if plan is None or not plan.specs:
-        return None
-    return plan.to_json()
-
-
 def _execute_experiment(
     experiment_id: str,
     scale: str,
     cache_dir: str | None,
     use_cache: bool,
     collect_telemetry: bool = False,
-    attempt: int = 0,
 ) -> tuple:
     """Worker body: cache lookup, compute on miss, store, time it.
 
-    Module-level on purpose — the supervised pool pickles the callable by
+    Module-level on purpose — the process pool pickles the callable by
     qualified name.  Returns ``(result, cache_hit, wall, pid,
     telemetry_snapshot)``; the snapshot is ``{}`` unless
     ``collect_telemetry`` — snapshots are plain dicts, so they cross the
     process boundary by value and the parent can merge them.
-
-    ``attempt`` feeds fault injection only; it can never influence the
-    computed result, which keeps retries bit-identical to first tries.
-    A ``corrupt`` fault returns the :data:`repro.faults.CORRUPTED`
-    sentinel *without* touching the cache, so a poisoned attempt cannot
-    be replayed into a later hit.
     """
-    fault = faults.maybe_inject(experiment_id, attempt)
-    if fault == "corrupt":
-        return faults.CORRUPTED, False, 0.0, os.getpid(), {}
     started = time.perf_counter()
     recorder = TelemetryRecorder() if collect_telemetry else None
     previous = set_recorder(recorder) if recorder is not None else None
@@ -306,15 +256,6 @@ def _execute_experiment(
     return result, hit, wall, os.getpid(), snapshot
 
 
-def _experiment_outcome_ok(payload: object) -> bool:
-    """Parent-side validator: shape plus a real :class:`ExperimentResult`."""
-    return (
-        isinstance(payload, tuple)
-        and len(payload) == 5
-        and isinstance(payload[0], ExperimentResult)
-    )
-
-
 def run_parallel(
     experiment_ids: Sequence[str] | None = None,
     scale: str = "quick",
@@ -323,34 +264,20 @@ def run_parallel(
     cache_dir: str | os.PathLike | None = None,
     use_cache: bool = True,
     collect_telemetry: bool = False,
-    retries: int = 2,
-    task_timeout: float | None = None,
-    resume: bool = False,
-    manifest_path: str | os.PathLike | None = None,
-    fault_plan=None,
 ) -> RunReport:
-    """Run experiments across the supervised pool; results in *request* order.
+    """Run experiments across the process pool; results in *request* order.
 
     ``experiment_ids`` defaults to the full registry in its canonical
-    order.  ``jobs=1`` runs inline (no pool, no pickling) — the reference
-    execution every parallel run must match bit-for-bit.  ``cache_dir`` is
-    resolved once here so every worker addresses the same store even if the
-    environment mutates mid-run.
-
-    Fault tolerance: each task gets ``1 + retries`` attempts, each bounded
-    by ``task_timeout`` seconds (pool mode); tasks that exhaust the budget
-    are quarantined into ``report.failed`` while the rest of the run
-    completes.  ``resume=True`` replays the run manifest (journaled under
-    the cache root, or at ``manifest_path``) and restores already-completed
-    cells from the cache without dispatching them.  ``fault_plan`` injects
-    a deterministic chaos plan (see :mod:`repro.faults`).
+    order.  ``jobs=1`` runs inline (see :func:`pool_map`).  ``cache_dir``
+    is resolved once here so every worker addresses the same store even if
+    the environment mutates mid-run.  An experiment that raises propagates
+    its exception once every other cell is done and cached.
 
     ``collect_telemetry`` installs a per-worker
     :class:`~repro.telemetry.TelemetryRecorder` around each task and merges
-    the returned snapshots (in request order) plus the parent-side
-    supervisor counters into ``report.telemetry``; the engine counters in
-    the merge are identical at any job count — only wall-time histograms
-    and fault-dependent supervisor counts vary.
+    the returned snapshots (in request order) plus the parent's recorder
+    into ``report.telemetry``; the engine counters in the merge are
+    identical at any job count — only wall-time histograms vary.
     """
     ids = list(experiment_ids) if experiment_ids is not None else list(EXPERIMENTS)
     for eid in ids:
@@ -360,98 +287,22 @@ def run_parallel(
             )
     ids = [eid.upper() for eid in ids]
     jobs = resolve_jobs(jobs)
-    if (resume or manifest_path is not None) and not use_cache:
-        raise ValueError("resume/manifest checkpointing requires the result cache")
     resolved_dir = str(ResultCache(cache_dir).root) if use_cache else None
-    plan_json = _resolve_plan_json(fault_plan)
-
-    manifest: RunManifest | None = None
-    prior: dict[str, str] = {}
-    if use_cache and (resume or manifest_path is not None):
-        identity = {
-            "kind": "run_parallel",
-            "ids": ids,
-            "scale": scale,
-            "root_seed": root_seed,
-            "version": __version__,
-        }
-        manifest = RunManifest.for_identity(
-            identity, cache_root=resolved_dir, path=manifest_path
-        )
-        prior = manifest.start(resume=resume)
 
     parent_recorder = TelemetryRecorder() if collect_telemetry else None
     previous_recorder = (
         set_recorder(parent_recorder) if parent_recorder is not None else None
     )
     try:
-        # Checkpoint fast path: journaled cells come straight from the cache
-        # in this process — no dispatch, no recompute, counted as hits.
-        restored: dict[str, ExperimentResult] = {}
-        todo: list[str] = []
-        cache = ResultCache(resolved_dir) if use_cache else None
-        for eid in ids:
-            if eid in prior and cache is not None:
-                value = cache.get(prior[eid] or cache_key(eid, scale))
-                if isinstance(value, ExperimentResult):
-                    restored[eid] = value
-                    continue
-            todo.append(eid)
-
-        def _journal(idx: int, outcome: TaskOutcome) -> None:
-            if manifest is not None and outcome.ok:
-                result = outcome.value[0]
-                manifest.record(
-                    outcome.label,
-                    cache_key(outcome.label, scale),
-                    result.fingerprint(),
-                )
-
-        config = SupervisorConfig(
-            jobs=jobs,
-            retries=retries,
-            task_timeout=task_timeout,
-            backoff_seed=root_seed,
-            fault_plan_json=plan_json,
-        )
-        outcomes, sup_stats = supervised_map(
+        outcomes = pool_map(
             _execute_experiment,
             [(eid, scale, resolved_dir, use_cache, collect_telemetry)
-             for eid in todo],
-            todo,
-            config,
-            validate=_experiment_outcome_ok,
-            on_result=_journal,
+             for eid in ids],
+            jobs,
         )
-        by_id = dict(zip(todo, outcomes))
-
-        report = RunReport(
-            results={}, jobs=jobs, root_seed=root_seed, supervisor=sup_stats
-        )
+        report = RunReport(results={}, jobs=jobs, root_seed=root_seed)
         snapshots = []
-        for eid in ids:
-            if eid in restored:
-                result = restored[eid]
-                report.results[eid] = result
-                report.records.append(TaskRecord(
-                    experiment_id=eid,
-                    scale=scale,
-                    seed=None,
-                    cache_hit=True,
-                    wall_time=0.0,
-                    rounds=_rounds_of(result),
-                    checks_passed=sum(1 for c in result.checks if c.passed),
-                    checks_total=len(result.checks),
-                    worker_pid=os.getpid(),
-                    attempts=0,
-                    fingerprint=result.fingerprint(),
-                ))
-                continue
-            outcome = by_id[eid]
-            if not outcome.ok:
-                report.failed.append(outcome.failure)
-                continue
-            result, hit, wall, pid, snap = outcome.value
+        for eid, (result, hit, wall, pid, snap) in zip(ids, outcomes):
             snapshots.append(snap)
             report.results[eid] = result
             report.records.append(TaskRecord(
@@ -464,7 +315,6 @@ def run_parallel(
                 checks_passed=sum(1 for c in result.checks if c.passed),
                 checks_total=len(result.checks),
                 worker_pid=pid,
-                attempts=outcome.attempts,
                 fingerprint=result.fingerprint(),
             ))
         if collect_telemetry:
@@ -482,12 +332,8 @@ def _execute_replication(
     seed: int,
     cache_dir: str | None,
     use_cache: bool,
-    attempt: int = 0,
 ) -> tuple:
     """Worker body for one Monte-Carlo cell: ``metric(seed)`` with caching."""
-    fault = faults.maybe_inject(f"{label}#{seed}", attempt)
-    if fault == "corrupt":
-        return faults.CORRUPTED, False, 0.0, os.getpid()
     started = time.perf_counter()
     cache = ResultCache(cache_dir) if use_cache else None
     key = cache_key(label, "replication", seed, kind="montecarlo")
@@ -500,14 +346,6 @@ def _execute_replication(
     return float(value), hit, time.perf_counter() - started, os.getpid()
 
 
-def _replication_outcome_ok(payload: object) -> bool:
-    return (
-        isinstance(payload, tuple)
-        and len(payload) == 4
-        and isinstance(payload[0], float)
-    )
-
-
 def replicate_parallel(
     metric: Callable[[int], float],
     label: str,
@@ -516,11 +354,6 @@ def replicate_parallel(
     jobs: int = 1,
     cache_dir: str | os.PathLike | None = None,
     use_cache: bool = False,
-    retries: int = 2,
-    task_timeout: float | None = None,
-    resume: bool = False,
-    manifest_path: str | os.PathLike | None = None,
-    fault_plan=None,
 ) -> tuple[Replication, list[TaskRecord]]:
     """Monte-Carlo fan-out: ``metric`` over ``count`` derived seeds.
 
@@ -530,102 +363,20 @@ def replicate_parallel(
     metric must be picklable (a module-level function or
     ``functools.partial`` of one).  Caching is opt-in here because a bare
     callable's identity is not part of the key — enable it only for metrics
-    whose behaviour is pinned by ``label`` and the package version.
-
-    Runs under the same supervision as :func:`run_parallel`.  Because a
-    :class:`Replication` aggregate over a *partial* value set would be
-    silently wrong, quarantined cells raise :class:`QuarantineError`
-    after every other cell has completed (and, with checkpointing on,
-    been journaled) — so a resumed call recomputes only the lost cells.
+    whose behaviour is pinned by ``label`` and the package version.  A cell
+    that raises propagates after every other cell is done (and cached).
     """
     if count < 1:
         raise ValueError("replicate_parallel needs count >= 1")
     seeds = replication_seeds(root_seed, label, count)
-    jobs = resolve_jobs(jobs)
-    if (resume or manifest_path is not None) and not use_cache:
-        raise ValueError("resume/manifest checkpointing requires the result cache")
     resolved_dir = str(ResultCache(cache_dir).root) if use_cache else None
-    plan_json = _resolve_plan_json(fault_plan)
-
-    labels = [f"{label}#{seed}" for seed in seeds]
-    manifest: RunManifest | None = None
-    prior: dict[str, str] = {}
-    if use_cache and (resume or manifest_path is not None):
-        identity = {
-            "kind": "replicate_parallel",
-            "label": label,
-            "count": count,
-            "root_seed": root_seed,
-            "version": __version__,
-        }
-        manifest = RunManifest.for_identity(
-            identity, cache_root=resolved_dir, path=manifest_path
-        )
-        prior = manifest.start(resume=resume)
-
-    cache = ResultCache(resolved_dir) if use_cache else None
-    restored: dict[int, float] = {}
-    todo: list[int] = []
-    for i, seed in enumerate(seeds):
-        if labels[i] in prior and cache is not None:
-            value = cache.get(cache_key(label, "replication", seed,
-                                        kind="montecarlo"))
-            if isinstance(value, float):
-                restored[i] = value
-                continue
-        todo.append(i)
-
-    def _journal(idx: int, outcome: TaskOutcome) -> None:
-        if manifest is not None and outcome.ok:
-            i = todo[idx]
-            manifest.record(
-                outcome.label,
-                cache_key(label, "replication", seeds[i], kind="montecarlo"),
-            )
-
-    config = SupervisorConfig(
-        jobs=jobs,
-        retries=retries,
-        task_timeout=task_timeout,
-        backoff_seed=root_seed,
-        fault_plan_json=plan_json,
-    )
-    outcomes, _sup_stats = supervised_map(
+    outcomes = pool_map(
         _execute_replication,
-        [(metric, label, seeds[i], resolved_dir, use_cache) for i in todo],
-        [labels[i] for i in todo],
-        config,
-        validate=_replication_outcome_ok,
-        on_result=_journal,
+        [(metric, label, seed, resolved_dir, use_cache) for seed in seeds],
+        resolve_jobs(jobs),
     )
-
-    failures = [o.failure for o in outcomes if not o.ok]
-    if failures:
-        raise QuarantineError(failures)
-
-    values: list[float] = [0.0] * count
-    records: list[TaskRecord] = []
-    outcome_iter = iter(outcomes)
-    for i, seed in enumerate(seeds):
-        if i in restored:
-            values[i] = restored[i]
-            records.append(TaskRecord(
-                experiment_id=label,
-                scale="replication",
-                seed=seed,
-                cache_hit=True,
-                wall_time=0.0,
-                rounds=None,
-                checks_passed=0,
-                checks_total=0,
-                worker_pid=os.getpid(),
-                attempts=0,
-            ))
-            continue
-        outcome = next(outcome_iter)
-        value, hit, wall, pid = outcome.value
-        values[i] = value
-        records.append(TaskRecord(
+    records = [
+        TaskRecord(
             experiment_id=label,
             scale="replication",
             seed=seed,
@@ -635,6 +386,7 @@ def replicate_parallel(
             checks_passed=0,
             checks_total=0,
             worker_pid=pid,
-            attempts=outcome.attempts,
-        ))
-    return Replication(tuple(values)), records
+        )
+        for seed, (_, hit, wall, pid) in zip(seeds, outcomes)
+    ]
+    return Replication(tuple(value for value, *_ in outcomes)), records

@@ -67,8 +67,8 @@ def derive_unit(root_seed: int, *path: object) -> float:
     The same purity/order-independence guarantees as :func:`derive_seed`,
     rescaled to the unit interval.  Used wherever a reproducible "coin"
     is needed without threading an RNG through call sites — fault-plan
-    probabilities and the supervisor's retry-backoff jitter both key off
-    ``(seed, label path)`` so chaos runs and retry schedules are pure
+    probabilities and the shard workers' retry-backoff jitter both key
+    off ``(seed, label path)`` so chaos runs and retry schedules are pure
     functions of the plan, not of wall-clock or interleaving.
     """
     return derive_seed(root_seed, *path) / float(1 << SEED_BITS)

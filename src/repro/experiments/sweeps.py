@@ -6,14 +6,10 @@ result list plus pivoted tables — the workhorse behind custom studies like
 of parameters; the user supplies ``build(point) -> Instance`` and
 ``run(instance, point) -> cost-like mapping``.
 
-Execution goes through the supervised pool
-(:mod:`repro.experiments.supervisor`): cells that raise, hang, or lose
-their worker are retried with deterministic backoff and, past the retry
-budget, quarantined into :attr:`SweepResult.failed` while the rest of the
-grid completes.  With ``sweep_id`` + ``cache_dir`` set, every completed
-cell is content-cached and journaled through a run manifest, so an
-interrupted sweep resumed with ``resume=True`` recomputes only the
-missing cells.
+Execution goes through the runner's process pool
+(:func:`repro.experiments.runner.pool_map`).  With ``sweep_id`` +
+``cache_dir`` set, every completed cell is content-cached as soon as it is
+done, so rerunning an interrupted sweep recomputes only the missing cells.
 """
 
 from __future__ import annotations
@@ -23,9 +19,10 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
-from repro import faults
 from repro.analysis.reporting import Table
 from repro.core.request import Instance
+from repro.experiments.cache import ResultCache, cache_key
+from repro.experiments.runner import pool_map, resolve_jobs
 
 __all__ = ["SweepResult", "grid", "run_sweep", "point_label"]
 
@@ -35,8 +32,6 @@ class SweepResult:
     """Long-form sweep output: one row per (point, measurement)."""
 
     rows: list[dict] = field(default_factory=list)
-    #: quarantined cells (TaskFailure records); empty on a clean run.
-    failed: list = field(default_factory=list)
 
     def pivot(
         self,
@@ -87,7 +82,7 @@ def point_label(point: Mapping) -> str:
     """Canonical label of one grid point: ``delta=2,n=8,seed=0``.
 
     Sorted by parameter name, so it is stable across dict orderings; this
-    is the string fault-plan ``task`` patterns and manifest journals see.
+    is the string a cached cell is keyed under.
     """
     return ",".join(f"{k}={point[k]}" for k in sorted(point))
 
@@ -98,22 +93,16 @@ def _sweep_cell(
     point: Mapping,
     cache_dir: str | None = None,
     sweep_id: str | None = None,
-    attempt: int = 0,
 ) -> dict:
     """One grid cell: build the instance, measure it, return the long row.
 
-    Module-level so the supervised pool can ship it to worker processes.
+    Module-level so the process pool can ship it to worker processes.
     With ``cache_dir`` + ``sweep_id`` the row is content-cached under the
-    canonical point label, making warm re-runs and resumes free.
+    canonical point label, making warm re-runs free.
     """
     label = point_label(point)
-    fault = faults.maybe_inject(label, attempt)
-    if fault == "corrupt":
-        return faults.CORRUPTED  # type: ignore[return-value]
     cache = key = None
     if cache_dir is not None and sweep_id is not None:
-        from repro.experiments.cache import ResultCache, cache_key
-
         cache = ResultCache(cache_dir)
         key = cache_key(sweep_id, label, kind="sweep")
         hit = cache.get(key)
@@ -133,96 +122,27 @@ def run_sweep(
     build: Callable[[Mapping], Instance],
     run: Callable[[Instance, Mapping], Mapping],
     jobs: int = 1,
-    retries: int = 2,
-    task_timeout: float | None = None,
     cache_dir: str | os.PathLike | None = None,
     sweep_id: str | None = None,
-    resume: bool = False,
-    manifest_path: str | os.PathLike | None = None,
-    fault_plan=None,
 ) -> SweepResult:
     """Run ``build`` then ``run`` at every point; collect long-form rows.
 
-    With ``jobs > 1`` the grid fans out over the supervised pool; rows
-    still come back in *point* order, so the result is identical to a
-    serial run.  ``build`` and ``run`` must then be picklable
-    (module-level functions or ``functools.partial`` of them), since each
-    cell crosses a process boundary.
+    ``jobs`` is resolved like ``repro all --jobs`` (``0`` = one worker per
+    core).  With more than one job the grid fans out over the process
+    pool; rows still come back in *point* order, so the result is
+    identical to a serial run.  ``build`` and ``run`` must then be
+    picklable (module-level functions or ``functools.partial`` of them),
+    since each cell crosses a process boundary.
 
-    Cells that fail every attempt land in ``result.failed`` (their rows
-    are simply absent); the rest of the grid completes.  Caching and
-    checkpoint/resume activate when both ``sweep_id`` (a stable name for
-    this study) and ``cache_dir`` are given; ``resume=True`` then restores
-    journaled cells from the cache without recomputing them.
+    Caching activates when both ``sweep_id`` (a stable name for this
+    study) and ``cache_dir`` are given.  A cell that raises propagates
+    after every other cell is done (and cached).
     """
-    from repro.experiments.cache import ResultCache, cache_key
-    from repro.experiments.manifest import RunManifest
-    from repro.experiments.runner import _resolve_plan_json
-    from repro.experiments.supervisor import SupervisorConfig, supervised_map
-    from repro import __version__
-
-    point_list = [dict(p) for p in points]
-    labels = [point_label(p) for p in point_list]
     caching = cache_dir is not None and sweep_id is not None
-    if (resume or manifest_path is not None) and not caching:
-        raise ValueError("sweep resume requires both sweep_id and cache_dir")
     resolved_dir = str(ResultCache(cache_dir).root) if caching else None
-
-    manifest = None
-    prior: dict[str, str] = {}
-    if caching and (resume or manifest_path is not None):
-        identity = {
-            "kind": "run_sweep",
-            "sweep_id": sweep_id,
-            "points": labels,
-            "version": __version__,
-        }
-        manifest = RunManifest.for_identity(
-            identity, cache_root=resolved_dir, path=manifest_path
-        )
-        prior = manifest.start(resume=resume)
-
-    cache = ResultCache(resolved_dir) if caching else None
-    restored: dict[int, dict] = {}
-    todo: list[int] = []
-    for i, label in enumerate(labels):
-        if label in prior and cache is not None:
-            value = cache.get(cache_key(sweep_id, label, kind="sweep"))
-            if isinstance(value, dict):
-                restored[i] = value
-                continue
-        todo.append(i)
-
-    def _journal(idx: int, outcome) -> None:
-        if manifest is not None and outcome.ok:
-            manifest.record(
-                outcome.label, cache_key(sweep_id, outcome.label, kind="sweep")
-            )
-
-    config = SupervisorConfig(
-        jobs=max(1, jobs),
-        retries=retries,
-        task_timeout=task_timeout,
-        fault_plan_json=_resolve_plan_json(fault_plan),
-    )
-    outcomes, _stats = supervised_map(
+    rows = pool_map(
         _sweep_cell,
-        [(build, run, point_list[i], resolved_dir, sweep_id) for i in todo],
-        [labels[i] for i in todo],
-        config,
-        validate=lambda row: isinstance(row, dict),
-        on_result=_journal,
+        [(build, run, dict(point), resolved_dir, sweep_id) for point in points],
+        resolve_jobs(jobs),
     )
-
-    result = SweepResult()
-    outcome_by_index = dict(zip(todo, outcomes))
-    for i in range(len(point_list)):
-        if i in restored:
-            result.rows.append(restored[i])
-            continue
-        outcome = outcome_by_index[i]
-        if outcome.ok:
-            result.rows.append(outcome.value)
-        else:
-            result.failed.append(outcome.failure)
-    return result
+    return SweepResult(rows=rows)

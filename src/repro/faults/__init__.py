@@ -1,50 +1,33 @@
-"""Deterministic fault injection for chaos-testing the experiment engine.
+"""Deterministic fault injection for serve shard workers.
 
-The reallocation literature this reproduction follows treats component
-failure as part of the schedule, not an afterthought; this package gives
-the repo the same discipline.  A :class:`FaultPlan` — a small JSON
-document activatable via ``repro all --inject-faults`` or the
-``REPRO_FAULT_PLAN`` environment variable — makes chosen tasks raise,
-hang, return corrupted payloads, or SIGKILL their worker, *bit
-reproducibly*: every decision is a pure function of
-``(plan, task label, attempt)``, with probabilistic rules driven by the
-same blake2b streams as :mod:`repro.experiments.seeds`.
+A :class:`FaultPlan` — a small JSON document passed to ``repro serve
+--workers --inject-faults`` — makes chosen shard-worker operations raise,
+hang, or SIGKILL their worker, *bit reproducibly*: every decision is a
+pure function of ``(plan, label, attempt)``, with probabilistic rules
+driven by the same blake2b streams as :mod:`repro.experiments.seeds`.
 
 Split:
 
 - :mod:`repro.faults.plan` — the declarative plan (specs, parsing, the
   ``decide`` function);
-- :mod:`repro.faults.inject` — the imperative injection point worker
-  bodies call, including the inline downgrade that keeps hang/kill from
-  taking out an unsupervised process.
+- :mod:`repro.faults.inject` — the imperative injection point the shard
+  worker loop calls.
 
-The supervised pool in :mod:`repro.experiments.supervisor` is the
-consumer: ``tests/integration/test_chaos.py`` drives raise/hang/corrupt/
-kill plans through ``repro all`` and pins quarantine counts and
-surviving-cell digests.
+The consumer is :mod:`repro.serve.workers`:
+``tests/integration/test_chaos_serve.py`` kills a live shard worker and
+pins that journal-replay failover finishes digest-identical.
 """
 
 from __future__ import annotations
 
-from repro.faults.inject import (
-    CORRUPTED,
-    FaultInjected,
-    active_plan,
-    install_plan,
-    mark_worker,
-    maybe_inject,
-)
-from repro.faults.plan import FAULT_PLAN_ENV, KINDS, FaultPlan, FaultSpec
+from repro.faults.inject import FaultInjected, install_plan, maybe_inject
+from repro.faults.plan import KINDS, FaultPlan, FaultSpec
 
 __all__ = [
-    "CORRUPTED",
-    "FAULT_PLAN_ENV",
     "FaultInjected",
     "FaultPlan",
     "FaultSpec",
     "KINDS",
-    "active_plan",
     "install_plan",
-    "mark_worker",
     "maybe_inject",
 ]

@@ -1,36 +1,22 @@
-"""The injection point: where a fault plan acts on a running task.
+"""The injection point: where a fault plan acts on a running worker op.
 
-Worker bodies call :func:`maybe_inject` once per attempt, right before
-doing any real work.  With no plan active (the default) that is one
-module-attribute read and a ``None`` check — chaos machinery costs
-nothing when it is off.
+The serve shard worker loop calls :func:`maybe_inject` once per op,
+right before doing any real work.  With no plan installed (the default)
+that is one module-attribute read and a ``None`` check — chaos machinery
+costs nothing when it is off.
 
 What each kind does at the injection point:
 
-- ``raise`` — raise :class:`FaultInjected`; the supervisor retries or
-  quarantines.
-- ``corrupt`` — ``maybe_inject`` returns ``"corrupt"`` and the worker
-  body returns :data:`CORRUPTED` in place of its real payload; the
-  supervisor's validator rejects it.  Nothing is written to the result
-  cache, so a corrupted attempt can never poison a later hit.
-- ``hang`` — sleep ``hang_seconds`` (the supervisor's per-task timeout is
-  expected to kill the worker first), then raise so an unsupervised run
-  still terminates.
+- ``raise`` — raise :class:`FaultInjected`; the worker dies and the
+  parent respawns it.
+- ``hang`` — sleep ``hang_seconds`` (the parent's per-op timeout is
+  expected to kill the worker first), then raise.
 - ``kill`` — ``SIGKILL`` the current process: the hard failure mode
-  (OOM-killer, segfault) that exercises pool rebuild.
+  (OOM-killer, segfault) that exercises respawn and journal replay.
 
-**Inline downgrade.**  ``hang`` and ``kill`` only make sense inside a
-supervised *worker* process — injected inline they would hang or kill the
-run itself.  Worker processes are marked via :func:`mark_worker`; outside
-one, both kinds degrade to ``raise`` (still a failure, still retried, but
-survivable).  This is what keeps ``--inject-faults`` safe under
-``--jobs 1`` and in the supervisor's degraded inline mode.
-
-Plan resolution order: an explicitly installed plan
-(:func:`install_plan`, used by the supervisor's worker bootstrap and the
-CLI) wins over :data:`~repro.faults.plan.FAULT_PLAN_ENV` in the
-environment.  The env fallback is parsed once and cached against the raw
-string, so repeated attempts don't re-read files.
+Plans act only in the process that installed them
+(:func:`install_plan`); the shard-worker bootstrap installs the plan the
+parent ships it, so ``hang`` and ``kill`` never reach the server process.
 """
 
 from __future__ import annotations
@@ -39,29 +25,16 @@ import os
 import signal
 import time
 
-from repro.faults.plan import FAULT_PLAN_ENV, FaultPlan
+from repro.faults.plan import FaultPlan
 
-__all__ = [
-    "CORRUPTED",
-    "FaultInjected",
-    "active_plan",
-    "install_plan",
-    "mark_worker",
-    "maybe_inject",
-]
-
-#: sentinel a worker body returns in place of its payload on a corrupt fault.
-CORRUPTED = "__repro_corrupted_payload__"
+__all__ = ["FaultInjected", "install_plan", "maybe_inject"]
 
 
 class FaultInjected(RuntimeError):
-    """Raised by an injected ``raise`` fault (or a downgraded hang/kill)."""
+    """Raised by an injected ``raise`` fault (or a ``hang`` that ran out)."""
 
 
 _installed: FaultPlan | None = None
-_in_worker: bool = False
-#: (raw env string, parsed plan) — cache so attempts don't re-parse/re-read.
-_env_cache: tuple[str, FaultPlan | None] = ("", None)
 
 
 def install_plan(plan: FaultPlan | None) -> FaultPlan | None:
@@ -72,55 +45,26 @@ def install_plan(plan: FaultPlan | None) -> FaultPlan | None:
     return previous
 
 
-def mark_worker(flag: bool = True) -> None:
-    """Declare this process a supervised worker (enables hang/kill for real)."""
-    global _in_worker
-    _in_worker = flag
+def maybe_inject(label: str, attempt: int = 0) -> None:
+    """Consult the installed plan for ``(label, attempt)`` and act on a match.
 
-
-def active_plan() -> FaultPlan | None:
-    """The installed plan, else one parsed from :data:`FAULT_PLAN_ENV`, else None."""
-    global _env_cache
-    if _installed is not None:
-        return _installed
-    raw = os.environ.get(FAULT_PLAN_ENV, "")
-    if not raw:
-        return None
-    if _env_cache[0] != raw:
-        _env_cache = (raw, FaultPlan.from_arg(raw))
-    return _env_cache[1]
-
-
-def maybe_inject(label: str, attempt: int = 0) -> str | None:
-    """Consult the active plan for ``(label, attempt)`` and act on a match.
-
-    Returns ``"corrupt"`` when the caller should corrupt its own payload,
-    ``None`` when nothing fires; raises/hangs/kills otherwise.
+    Returns when nothing fires; raises, hangs, or kills otherwise.
     """
-    plan = active_plan()
-    if plan is None:
-        return None
-    spec = plan.decide(label, attempt)
+    if _installed is None:
+        return
+    spec = _installed.decide(label, attempt)
     if spec is None:
-        return None
-    kind = spec.kind
-    if kind in ("hang", "kill") and not _in_worker:
-        raise FaultInjected(
-            f"injected {kind} for {label!r} attempt {attempt} "
-            "(downgraded to raise: not in a supervised worker)"
-        )
-    if kind == "raise":
+        return
+    if spec.kind == "raise":
         raise FaultInjected(f"injected raise for {label!r} attempt {attempt}")
-    if kind == "corrupt":
-        return "corrupt"
-    if kind == "hang":
+    if spec.kind == "hang":
         time.sleep(spec.hang_seconds)
         raise FaultInjected(
             f"injected hang for {label!r} attempt {attempt} elapsed "
             f"after {spec.hang_seconds}s"
         )
     # kind == "kill": the OOM-killer/segfault stand-in.  SIGKILL cannot be
-    # caught, so the supervisor sees exactly what a real worker death
-    # looks like: a dead process and a half-open pipe.
+    # caught, so the parent sees exactly what a real worker death looks
+    # like: a dead process and a half-open pipe.
     os.kill(os.getpid(), signal.SIGKILL)
     raise AssertionError("unreachable: SIGKILL delivered to self")

@@ -1,30 +1,27 @@
 """Fault plans: the declarative side of deterministic fault injection.
 
 A :class:`FaultPlan` is a small, JSON-serializable document that says
-*which* tasks misbehave, *how*, and *for how many attempts*.  The plan —
-not wall-clock, not scheduling luck — is the only input to every
-injection decision, so a chaos run is exactly as reproducible as a clean
-one: replaying the same plan against the same task labels yields the
-same raises, hangs, corrupted payloads, and worker kills, attempt for
-attempt.
+*which* shard-worker ops misbehave, *how*, and *for how many attempts*.
+The plan — not wall-clock, not scheduling luck — is the only input to
+every injection decision, so a chaos run is exactly as reproducible as a
+clean one: replaying the same plan against the same op labels yields the
+same raises, hangs, and worker kills, attempt for attempt.
 
-Plan document (inline JSON, a file path, or ``REPRO_FAULT_PLAN``)::
+Plan document (inline JSON or a file path)::
 
     {"seed": 0, "faults": [
-        {"task": "E3",  "kind": "raise",   "times": 1},
-        {"task": "E5",  "kind": "hang",    "hang_seconds": 3600},
-        {"task": "E7",  "kind": "kill",    "times": 2},
-        {"task": "A*",  "kind": "corrupt", "p": 0.25}
+        {"task": "serve/shard1/tick/*",   "kind": "kill"},
+        {"task": "serve/shard0/stats/*",  "kind": "raise", "times": 2},
+        {"task": "serve/shard*/tick/*",   "kind": "hang",  "p": 0.25}
     ]}
 
-- ``task`` is an :func:`fnmatch.fnmatchcase` pattern over the task label
-  (experiment id, ``label#seed`` for Monte-Carlo cells, the canonical
-  point string for sweep cells).
+- ``task`` is an :func:`fnmatch.fnmatchcase` pattern over the op label
+  ``serve/shard{id}/{op}/{seq}``.
 - ``kind`` is one of :data:`KINDS` — see :mod:`repro.faults.inject` for
   what each does at the injection point.
 - ``times`` bounds injection to attempts ``0..times-1`` (default 1: fail
-  the first attempt, let the retry succeed); ``-1`` means every attempt,
-  which is how a test forces quarantine.
+  the first worker incarnation, let the respawn succeed); ``-1`` means
+  every attempt, which is how a test exhausts the respawn budget.
 - ``p`` (or ``probability``) thins injection with a *deterministic* coin:
   :func:`repro.experiments.seeds.derive_unit` over
   ``(plan seed, kind, label, attempt)``, so the same plan flips the same
@@ -41,13 +38,10 @@ from typing import Mapping, Sequence
 
 from repro.experiments.seeds import derive_unit
 
-__all__ = ["KINDS", "FAULT_PLAN_ENV", "FaultSpec", "FaultPlan"]
+__all__ = ["KINDS", "FaultSpec", "FaultPlan"]
 
-#: the four injectable behaviours, in escalating nastiness.
-KINDS = ("raise", "corrupt", "hang", "kill")
-
-#: environment variable holding an inline JSON plan or a path to one.
-FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
+#: the three injectable behaviours, in escalating nastiness.
+KINDS = ("raise", "hang", "kill")
 
 
 @dataclass(frozen=True)
@@ -60,7 +54,7 @@ class FaultSpec:
     times: int = 1
     #: deterministic per-(label, attempt) coin; 1.0 = always.
     probability: float = 1.0
-    #: how long a ``hang`` sleeps (the supervisor's timeout should fire first).
+    #: how long a ``hang`` sleeps (the worker timeout should fire first).
     hang_seconds: float = 3600.0
 
     def __post_init__(self) -> None:
@@ -114,8 +108,7 @@ class FaultPlan:
     def from_arg(cls, arg: "str | Path | FaultPlan") -> "FaultPlan":
         """Accept inline JSON, a path to a JSON file, or an existing plan.
 
-        This is the single entry point behind both ``--inject-faults`` and
-        :data:`FAULT_PLAN_ENV`.
+        This is the entry point behind ``repro serve --inject-faults``.
         """
         if isinstance(arg, FaultPlan):
             return arg
@@ -127,7 +120,7 @@ class FaultPlan:
     # -- serialization --------------------------------------------------------
 
     def to_json(self) -> str:
-        """Canonical JSON — what the supervisor ships to worker processes."""
+        """Canonical JSON — what the server ships to shard workers."""
         doc = {"seed": self.seed, "faults": [s.as_dict() for s in self.specs]}
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 

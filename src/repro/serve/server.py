@@ -34,7 +34,7 @@ from time import perf_counter
 from typing import Sequence
 
 from repro.core.job import Job
-from repro.faults.plan import FAULT_PLAN_ENV, FaultPlan
+from repro.faults.plan import FaultPlan
 from repro.policies import make_policy
 from repro.serve.journal import (
     JOURNAL_SCHEMA,
@@ -100,8 +100,7 @@ class ServeConfig:
     worker_retries: int = 2
     #: per-attempt seconds before a hung worker is SIGKILLed.
     worker_timeout: float = 30.0
-    #: fault plan (inline JSON or path) installed in shard workers; falls
-    #: back to the REPRO_FAULT_PLAN environment variable.
+    #: fault plan (inline JSON or path) installed in shard workers.
     fault_plan: str | None = None
     #: a subscriber whose transport write buffer exceeds this many bytes
     #: is dropped instead of growing server memory without bound.
@@ -193,7 +192,6 @@ class SchedulingServer:
         self.config = config
         try:
             if config.workers:
-                raw_plan = config.fault_plan or os.environ.get(FAULT_PLAN_ENV)
                 self.session: ShardedSession | WorkerShardedSession = (
                     WorkerShardedSession(
                         n=config.n,
@@ -209,8 +207,8 @@ class SchedulingServer:
                         retries=config.worker_retries,
                         timeout=config.worker_timeout,
                         fault_plan_json=(
-                            FaultPlan.from_arg(raw_plan).to_json()
-                            if raw_plan
+                            FaultPlan.from_arg(config.fault_plan).to_json()
+                            if config.fault_plan
                             else None
                         ),
                     )

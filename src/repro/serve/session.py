@@ -322,11 +322,12 @@ class AdmissionGate:
         self._validated = None
         if self._closed:
             raise AdmissionError("closed", "session is closed")
-        indexed: Iterable[tuple[int, Job]] = enumerate(jobs)
-        if not self.tenants.empty:
-            indexed = self._plan_sheds(list(indexed))
         lives = self._lives
         sids = [shard_of(job.color, len(lives)) for job in self.last_kept]
+        indexed: Iterable[tuple[int, Job]] = enumerate(self.last_kept)
+        if not self.tenants.empty:
+            indexed = self._plan_sheds(sids)
+            sids = [sids[index] for index, _ in indexed]
         seen = self._seen_uids
         bounds: dict[Color, int] = {}
         batch_uids: set[int] = set()
@@ -369,13 +370,13 @@ class AdmissionGate:
         ]
         self._validated = sids
 
-    def _plan_sheds(self, indexed: list[tuple[int, Job]]) -> list[tuple[int, Job]]:
-        """Per-shard, per-tenant shed planning (pure).  Fills ``last_shed``
-        and ``last_kept`` and returns the surviving (index, job) pairs in
+    def _plan_sheds(self, sids: list[int]) -> list[tuple[int, Job]]:
+        """Per-shard, per-tenant shed planning (pure) over ``last_kept``,
+        whose jobs live on shards ``sids``.  Fills ``last_shed`` and
+        ``last_kept`` and returns the surviving (index, job) pairs in
         batch order."""
         per_shard: dict[int, list[tuple[int, Job]]] = {}
-        for index, job in indexed:
-            sid = shard_of(job.color, len(self._lives))
+        for index, (job, sid) in enumerate(zip(self.last_kept, sids)):
             per_shard.setdefault(sid, []).append((index, job))
         kept: list[tuple[int, Job]] = []
         shed: list[dict] = []

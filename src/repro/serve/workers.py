@@ -4,8 +4,8 @@
 lockstep on one core, so adding shards *slows the server down* — each
 tick is a serial loop over simulators.  This module moves each
 :class:`~repro.serve.session.SessionShard` into its own child process
-built on the PR-4 supervisor plumbing (:class:`repro.utils.procs.PipeWorker`:
-duplex pipes, ``connection.wait``, SIGKILL + respawn), while
+built on :class:`repro.utils.procs.PipeWorker` (duplex pipes,
+``connection.wait``, SIGKILL + respawn), while
 :class:`WorkerShardedSession` keeps the exact public surface of
 ``ShardedSession`` so the asyncio server is mode-agnostic.
 
@@ -34,15 +34,16 @@ fails is therefore never re-sent: the respawned worker replayed it.  A
 worker that dies after a send is caught at the next blocking exchange
 and rebuilt the same way, and the in-flight blocking op re-runs against
 the replayed state deterministically.  Retries are bounded
-(``retries`` per worker per op) with the supervisor's deterministic
+(``retries`` per worker per op) with deterministic
 :func:`~repro.utils.procs.retry_backoff` delays; past the bound the
 session raises and refuses further use.
 
-Fault injection reuses the PR-4 plans: each worker op checks the label
-``serve/shard{id}/{op}/{seq}`` (fnmatch, so ``serve/shard1/tick/*``
-kills shard 1 at its next tick), and workers mark themselves so
-hang/kill act for real.  Replay runs *before* injection is consulted —
-a recovering worker must not be re-killed by the rule that killed it.
+Fault injection uses :mod:`repro.faults` plans: each worker op checks
+the label ``serve/shard{id}/{op}/{seq}`` (fnmatch, so
+``serve/shard1/tick/*`` kills shard 1 at its next tick).  Only worker
+processes install the plan, so hang/kill never reach the server.
+Replay runs *before* injection is consulted — a recovering worker must
+not be re-killed by the rule that killed it.
 """
 
 from __future__ import annotations
@@ -90,7 +91,6 @@ def _shard_worker_main(
     """
     # Untrack the inherited heap: its first full GC cost a tick 30-85 ms.
     gc.freeze()
-    faults.mark_worker()
     if fault_plan_json:
         faults.install_plan(faults.FaultPlan.from_json(fault_plan_json))
     # Child-process telemetry: when the parent records, so does the
@@ -295,8 +295,8 @@ class WorkerShardedSession(AdmissionGate):
                 params,
                 self.journal_path if replay else None,
                 self.fault_plan_json,
-                # 0-based like supervisor attempts: a default times=1 rule
-                # hits the first incarnation and spares every respawn.
+                # 0-based attempts: a default times=1 rule hits the
+                # first incarnation and spares every respawn.
                 wk.attempt - 1,
             ),
         )

@@ -51,11 +51,6 @@ HELP: dict[str, str] = {
     "repro_serve_worker_scrape_failures_total": "Worker telemetry scrapes that timed out or failed.",
     "repro_serve_subscribers_dropped_total": "Broadcast subscribers dropped for falling behind.",
     "repro_serve_spans_total": "Span records emitted by the serve layer, by kind.",
-    "repro_task_retries_total": "Runner task attempts retried after a failure.",
-    "repro_task_timeouts_total": "Runner task attempts killed at the task timeout.",
-    "repro_pool_rebuilds_total": "Supervised worker pools rebuilt after a worker death.",
-    "repro_tasks_quarantined_total": "Runner tasks quarantined after exhausting retries.",
-    "repro_task_backoff_seconds": "Retry backoff delay per re-dispatched task.",
     "repro_rounds_unparsed_cells_total": "Result cells skipped by round accounting as unparsable.",
     "repro_serve_tenants": "Tenant contracts currently registered.",
     "repro_serve_tenant_submitted_total": "Jobs submitted under a tenant contract, by tenant.",

@@ -1,11 +1,10 @@
 """Small dependency-free utilities shared across subsystems.
 
 - :mod:`repro.utils.jsonl` — the one JSONL encoder, fsync-append
-  journal writer, and torn-tail-tolerant reader used by the experiment
-  manifest, the telemetry trace writer, and the serve session journal.
+  journal writer, and torn-tail-tolerant reader used by the telemetry
+  trace writer and the serve session journal.
 - :mod:`repro.utils.procs` — pipe-driven child processes and
-  deterministic retry backoff, shared by the experiment supervisor and
-  the serve layer's shard workers.
+  deterministic retry backoff for the serve layer's shard workers.
 """
 
 from repro.utils.jsonl import JsonlJournal, append_jsonl, json_line, read_jsonl

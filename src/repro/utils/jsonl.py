@@ -1,10 +1,9 @@
 """JSONL encoding and crash-safe append journals.
 
-Three subsystems write newline-delimited JSON with the same durability
-story — the run manifest (:mod:`repro.experiments.manifest`), the
-telemetry trace writer (:mod:`repro.telemetry.trace`), and the serve
-session journal (:mod:`repro.serve.server`).  This module is the single
-implementation they share:
+Two subsystems write newline-delimited JSON with the same durability
+story — the telemetry trace writer (:mod:`repro.telemetry.trace`) and
+the serve session journal (:mod:`repro.serve.server`).  This module is
+the single implementation they share:
 
 - :func:`json_line` — the canonical one-record encoding (sorted keys,
   ``default=str``, trailing newline), so every JSONL artifact in the
@@ -53,8 +52,7 @@ def read_jsonl(path: str | os.PathLike) -> list[dict]:
     """Read every complete record of a JSONL file, tolerating a torn tail.
 
     The reader for crash-recovery replay: a process killed mid-append
-    leaves at most one incomplete final line, which is skipped (same
-    discipline as the run manifest's restore path).  A malformed line
+    leaves at most one incomplete final line, which is skipped.  A malformed line
     *before* the tail raises ``ValueError`` — that is corruption, not a
     crash artifact.  A missing file reads as an empty journal.
     """

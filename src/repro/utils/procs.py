@@ -1,9 +1,7 @@
-"""Pipe-driven child processes: the reusable core of supervised pools.
+"""Pipe-driven child processes and deterministic retry backoff.
 
-Two subsystems run supervised worker processes: the experiment
-supervisor (:mod:`repro.experiments.supervisor`, PR 4) and the serve
-layer's per-shard workers (:mod:`repro.serve.workers`).  Both need the
-same low-level powers a ``ProcessPoolExecutor`` refuses to expose:
+The serve layer's per-shard workers (:mod:`repro.serve.workers`) need
+low-level powers a ``ProcessPoolExecutor`` refuses to expose:
 
 - a **duplex pipe** per worker so the parent can address a *specific*
   child and notice a *specific* death (EOF on recv, ``BrokenPipeError``
@@ -13,14 +11,11 @@ same low-level powers a ``ProcessPoolExecutor`` refuses to expose:
 - a **polite shutdown** path (send the ``None`` sentinel, join, escalate
   to kill only if the child ignores it).
 
-:class:`PipeWorker` is that shared lifecycle, extracted from the PR-4
-supervisor so the serve workers reuse it instead of reimplementing it.
-The scheduling policies on top differ — the supervisor retries *tasks*
-across a fungible pool, the serve layer respawns a *stateful* shard and
-replays its journal — so scheduling stays with the callers; only the
-process-and-pipe plumbing lives here.
+:class:`PipeWorker` is that lifecycle.  Scheduling — respawning a
+*stateful* shard and replaying its journal — stays with the caller; only
+the process-and-pipe plumbing lives here.
 
-:func:`retry_backoff` is the deterministic retry delay both sides use:
+:func:`retry_backoff` is the deterministic delay between respawns:
 exponential in the attempt number, scaled by a blake2b-derived jitter
 factor that is a pure function of ``(seed, label, attempt)``.  Two runs
 of the same plan back off identically; wall-clock enters only as actual
@@ -64,7 +59,7 @@ class PipeWorker:
     ``target(conn, *args)`` runs in the child with the child end of the
     pipe; the parent keeps the other end as :attr:`conn`.  The child's
     loop is expected to treat a received ``None`` as the shutdown
-    sentinel (both existing worker mains do).
+    sentinel (the shard worker main does).
     """
 
     def __init__(self, ctx, target: Callable, args: tuple = ()):

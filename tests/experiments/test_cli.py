@@ -242,7 +242,8 @@ def _run_with_failing_check(scale: str = "quick"):
 
 class TestAllExitCodes:
     """The ``all`` exit-code contract CI leans on: 0 = everything passed,
-    1 = a failed experiment check OR a quarantined task."""
+    1 = a failed experiment check.  An experiment that raises propagates
+    (see ``test_runner_recovery``)."""
 
     @staticmethod
     def _isolate(monkeypatch, tmp_path):
@@ -267,59 +268,6 @@ class TestAllExitCodes:
         assert "1/2 experiments passed" in out
         assert "[FAIL]" in out
 
-    def test_quarantine_exits_one_and_reports(self, capsys, monkeypatch, tmp_path):
-        self._isolate(monkeypatch, tmp_path)
-        plan = '{"faults": [{"task": "E4", "kind": "raise", "times": -1}]}'
-        assert main(["all", "--scale", "quick", "--no-cache",
-                     "--retries", "0", "--inject-faults", plan]) == 1
-        out = capsys.readouterr().out
-        assert "quarantined 1/2 tasks:" in out
-        assert "E4: error after 1 attempt(s)" in out
-        assert "## E1" in out  # the healthy experiment still completed
-
-    def test_recovered_faults_exit_zero(self, capsys, monkeypatch, tmp_path):
-        self._isolate(monkeypatch, tmp_path)
-        plan = '{"faults": [{"task": "E4", "kind": "raise", "times": 1}]}'
-        assert main(["all", "--scale", "quick", "--no-cache",
-                     "--retries", "2", "--inject-faults", plan]) == 0
-        out = capsys.readouterr().out
-        assert "2/2 experiments passed" in out
-        assert "quarantined" not in out
-
-    def test_resume_rejects_no_cache(self, monkeypatch, tmp_path):
-        self._isolate(monkeypatch, tmp_path)
-        with pytest.raises(SystemExit, match="--resume"):
-            main(["all", "--resume", "--no-cache"])
-
-    def test_interrupt_then_resume_round_trip(self, capsys, monkeypatch, tmp_path):
-        # Zero-config resume: same identity → same derived manifest under
-        # the cache root; the second invocation restores E1 and recomputes
-        # only the quarantined E4.
-        self._isolate(monkeypatch, tmp_path)
-        plan = '{"faults": [{"task": "E4", "kind": "raise", "times": -1}]}'
-        assert main(["all", "--scale", "quick", "--resume",
-                     "--retries", "0", "--inject-faults", plan]) == 1
-        capsys.readouterr()
-        assert main(["all", "--scale", "quick", "--resume"]) == 0
-        out = capsys.readouterr().out
-        assert "2/2 experiments passed" in out
-
-    def test_quarantine_lands_in_stats_payload(self, capsys, monkeypatch, tmp_path):
-        import json
-
-        self._isolate(monkeypatch, tmp_path)
-        stats_out = tmp_path / "stats.json"
-        plan = '{"faults": [{"task": "E1", "kind": "raise", "times": -1}]}'
-        assert main(["all", "--scale", "quick", "--no-cache", "--stats",
-                     "--retries", "0", "--inject-faults", plan,
-                     "--stats-out", str(stats_out)]) == 1
-        capsys.readouterr()
-        payload = json.loads(stats_out.read_text())
-        assert payload["quarantined"] == 1
-        assert payload["failed"][0]["label"] == "E1"
-        assert payload["failed"][0]["kind"] == "error"
-        assert payload["supervisor"]["degraded"] is False
-
 
 class TestSweepCommand:
     def test_sweep_pivot_table(self, capsys):
@@ -340,6 +288,26 @@ class TestSweepCommand:
         assert main(argv + ["--jobs", "2"]) == 0
         parallel = capsys.readouterr().out
         assert serial.replace("jobs=1", "") == parallel.replace("jobs=2", "")
+
+    def test_sweep_jobs_zero_means_one_per_core(self, capsys, monkeypatch):
+        import os
+
+        import repro.experiments.sweeps as sweeps
+
+        pools = []
+        real_pool_map = sweeps.pool_map
+
+        def spy(fn, tasks, jobs):
+            pools.append(jobs)
+            return real_pool_map(fn, tasks, jobs)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(sweeps, "pool_map", spy)
+        argv = ["sweep", "--workload", "uniform", "--deltas", "2",
+                "--ns", "4,8", "--seeds", "0", "--horizon", "16"]
+        assert main(argv + ["--jobs", "0"]) == 0
+        assert pools == [2]
+        assert "2 cells (jobs=2)" in capsys.readouterr().out
 
     def test_sweep_rejects_bad_value(self):
         with pytest.raises(SystemExit):

@@ -1,17 +1,13 @@
-"""Deterministic fault injection: plan parsing, decisions, downgrade rules."""
+"""Deterministic fault injection: plan parsing, decisions, the injection point."""
 
 import json
 
 import pytest
 
-from repro import faults
 from repro.faults import (
-    CORRUPTED,
-    FAULT_PLAN_ENV,
     FaultInjected,
     FaultPlan,
     FaultSpec,
-    active_plan,
     install_plan,
     maybe_inject,
 )
@@ -39,7 +35,7 @@ class TestPlanParsing:
         assert plan.specs[0].times == 2
 
     def test_p_alias_for_probability(self):
-        plan = FaultPlan.from_json('[{"task": "*", "kind": "corrupt", "p": 0.25}]')
+        plan = FaultPlan.from_json('[{"task": "*", "kind": "raise", "p": 0.25}]')
         assert plan.specs[0].probability == 0.25
 
     def test_unknown_kind_rejected(self):
@@ -60,9 +56,9 @@ class TestPlanParsing:
 
     def test_from_arg_file_path(self, tmp_path):
         path = tmp_path / "plan.json"
-        path.write_text('{"seed": 3, "faults": [{"task": "E2", "kind": "corrupt"}]}')
+        path.write_text('{"seed": 3, "faults": [{"task": "E2", "kind": "kill"}]}')
         plan = FaultPlan.from_arg(str(path))
-        assert plan.seed == 3 and plan.specs[0].kind == "corrupt"
+        assert plan.seed == 3 and plan.specs[0].kind == "kill"
 
     def test_from_arg_passthrough(self):
         plan = FaultPlan(specs=(FaultSpec(task="x", kind="raise"),))
@@ -72,7 +68,7 @@ class TestPlanParsing:
         plan = FaultPlan.from_json(
             '{"seed": 5, "faults": ['
             '{"task": "E*", "kind": "hang", "hang_seconds": 7.5, "times": -1},'
-            '{"task": "A2", "kind": "corrupt", "p": 0.5}]}'
+            '{"task": "A2", "kind": "raise", "p": 0.5}]}'
         )
         text = plan.to_json()
         assert FaultPlan.from_json(text) == plan
@@ -98,9 +94,9 @@ class TestDecide:
 
     def test_first_matching_spec_wins(self):
         plan = FaultPlan.from_json(
-            '[{"task": "E1", "kind": "corrupt"}, {"task": "E*", "kind": "kill"}]'
+            '[{"task": "E1", "kind": "hang"}, {"task": "E*", "kind": "kill"}]'
         )
-        assert plan.decide("E1", 0).kind == "corrupt"
+        assert plan.decide("E1", 0).kind == "hang"
         assert plan.decide("E2", 0).kind == "kill"
 
     def test_probabilistic_coin_is_deterministic(self):
@@ -136,59 +132,8 @@ class TestInjectionPoint:
             maybe_inject("E1", 0)
         assert maybe_inject("E1", 1) is None  # times=1: retry is clean
 
-    def test_corrupt_kind_returns_marker(self):
-        install_plan(FaultPlan.from_json('[{"task": "E1", "kind": "corrupt"}]'))
-        assert maybe_inject("E1", 0) == "corrupt"
-        assert CORRUPTED  # the sentinel the body should return instead
-
-    def test_kill_downgrades_to_raise_outside_workers(self):
-        # The test process is not a marked worker; a real SIGKILL here
-        # would take pytest down with it.
-        install_plan(FaultPlan.from_json('[{"task": "E1", "kind": "kill"}]'))
-        with pytest.raises(FaultInjected, match="downgraded to raise"):
-            maybe_inject("E1", 0)
-
-    def test_hang_downgrades_to_raise_outside_workers(self):
-        install_plan(
-            FaultPlan.from_json(
-                '[{"task": "E1", "kind": "hang", "hang_seconds": 3600}]'
-            )
-        )
-        with pytest.raises(FaultInjected, match="downgraded to raise"):
-            maybe_inject("E1", 0)  # returns promptly — no hour-long sleep
-
     def test_install_plan_returns_previous(self):
         first = FaultPlan.from_json('[{"task": "a", "kind": "raise"}]')
         assert install_plan(first) is None
         assert install_plan(None) is first
 
-
-class TestEnvActivation:
-    def test_env_plan_activates(self, monkeypatch):
-        monkeypatch.setenv(
-            FAULT_PLAN_ENV, '[{"task": "E9", "kind": "raise"}]'
-        )
-        plan = active_plan()
-        assert plan is not None and plan.specs[0].task == "E9"
-        with pytest.raises(FaultInjected):
-            maybe_inject("E9", 0)
-
-    def test_env_plan_from_file(self, monkeypatch, tmp_path):
-        path = tmp_path / "chaos.json"
-        path.write_text('[{"task": "E8", "kind": "corrupt"}]')
-        monkeypatch.setenv(FAULT_PLAN_ENV, str(path))
-        assert maybe_inject("E8", 0) == "corrupt"
-
-    def test_env_cache_tracks_raw_string(self, monkeypatch):
-        monkeypatch.setenv(FAULT_PLAN_ENV, '[{"task": "a", "kind": "raise"}]')
-        assert active_plan().specs[0].task == "a"
-        monkeypatch.setenv(FAULT_PLAN_ENV, '[{"task": "b", "kind": "raise"}]')
-        assert active_plan().specs[0].task == "b"
-        monkeypatch.delenv(FAULT_PLAN_ENV)
-        assert active_plan() is None
-
-    def test_installed_plan_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(FAULT_PLAN_ENV, '[{"task": "env", "kind": "raise"}]')
-        installed = FaultPlan.from_json('[{"task": "inst", "kind": "raise"}]')
-        install_plan(installed)
-        assert active_plan() is installed

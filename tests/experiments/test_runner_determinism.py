@@ -37,10 +37,13 @@ class TestExperimentFanout:
         assert not set(SAMPLE) & TIMING_EXPERIMENTS
 
     def test_serial_and_parallel_payloads_identical(self, no_cache_kwargs):
-        serial = run_parallel(SAMPLE, jobs=1, **no_cache_kwargs)
-        parallel = run_parallel(SAMPLE, jobs=4, **no_cache_kwargs)
-        assert list(serial.results) == list(parallel.results) == SAMPLE
-        for eid in SAMPLE:
+        # Every experiment but the wall-clock E12, as `repro all` runs them.
+        ids = list(DETERMINISTIC_EXPERIMENTS)
+        assert len(ids) == 18
+        serial = run_parallel(ids, jobs=1, **no_cache_kwargs)
+        parallel = run_parallel(ids, jobs=2, **no_cache_kwargs)
+        assert list(serial.results) == list(parallel.results) == ids
+        for eid in ids:
             assert serial.results[eid] == parallel.results[eid], eid
             assert (
                 serial.results[eid].fingerprint()

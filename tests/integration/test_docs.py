@@ -3,7 +3,8 @@
 Extract and execute the Python code blocks in README.md and docs/model.md —
 documentation that drifts from the API should fail CI, not readers.  Also
 smoke-runs the fastest examples in-process, and checks that every
-``repro`` subcommand and ``BENCH_*.json`` artifact the docs name exists.
+``repro`` subcommand, subcommand option and ``BENCH_*.json`` artifact the
+docs name exists.
 """
 
 import argparse
@@ -23,6 +24,23 @@ DOCS = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
 COMMAND = re.compile(r"(?:^[ \t]*|`)repro ([a-z][\w-]*(?: \| [a-z][\w-]*)*)",
                      flags=re.MULTILINE)
 ARTIFACT = re.compile(r"BENCH_\w+\.json")
+#: a long option such as ``--stats-out``, not the tail of ``a--b``.
+FLAG = re.compile(r"(?<![\w-])--[a-z][\w-]*")
+
+
+def named_flags() -> list[tuple[str, str, str]]:
+    """``(doc, subcommand, --flag)`` for every flag a doc line names after
+    ``repro <cmd>``, up to the next ``repro <cmd>`` on that line."""
+    named = []
+    for doc in DOCS:
+        for line in doc.read_text().splitlines():
+            matches = list(COMMAND.finditer(line))
+            ends = [m.start() for m in matches[1:]] + [len(line)]
+            for match, end in zip(matches, ends):
+                for flag in FLAG.findall(line, match.end(), end):
+                    for name in match.group(1).split(" | "):
+                        named.append((doc.name, name, flag))
+    return named
 
 
 def python_blocks(path: pathlib.Path) -> list[str]:
@@ -90,6 +108,20 @@ class TestDocsNameLiveSurfaces:
             for match in COMMAND.findall(doc.read_text())
             for name in match.split(" | ")
             if name not in sub.choices
+        }
+        assert not missing, sorted(missing)
+
+    def test_named_flags_are_options_of_their_subcommand(self):
+        [sub] = [
+            action for action in _build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        named = named_flags()
+        assert len(named) > 50, "the flag pattern stopped matching the docs"
+        missing = {
+            entry for entry in named
+            if entry[1] not in sub.choices
+            or entry[2] not in sub.choices[entry[1]]._option_string_actions
         }
         assert not missing, sorted(missing)
 

@@ -222,6 +222,26 @@ class TestSessionShedding:
         assert [e["tenant"] for e in shed] == ["t"] * 3
         assert len(s.last_kept) == 2  # one metered + the unmetered color
 
+    def test_each_job_is_routed_to_its_shard_once(self, monkeypatch):
+        import repro.serve.session as session_module
+
+        s = self.session()
+        s.register_tenant(contract(name="t", colors=("a",), rate=1, burst=1, delay_bound=8))
+        calls = []
+
+        def counting_shard_of(color, shards):
+            calls.append(color)
+            return shard_of(color, shards)
+
+        monkeypatch.setattr(session_module, "shard_of", counting_shard_of)
+        batch = [self.job("a") for _ in range(4)] + [
+            self.job(c) for c in "wxyz"
+        ]
+        shed = s.submit(batch)
+        assert len(calls) == len(batch) == 8
+        assert [e["index"] for e in shed] == [1, 2, 3]
+        assert s.pending == 5
+
     def test_shed_uids_never_poison_duplicate_tracking(self):
         s = self.session()
         s.register_tenant(contract(name="t", colors=("a",), rate=1, burst=1, delay_bound=8))
