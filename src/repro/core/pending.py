@@ -226,9 +226,12 @@ class PendingStore:
     def drop_expired(self, rnd: int) -> list[Job]:
         """Drop every pending job whose deadline has been reached.
 
-        Only nonidle pools can hold droppable jobs, so the scan is over the
-        cached nonidle set (in pool-creation order, as before) rather than
-        every pool ever seen.
+        Only nonidle pools can hold droppable jobs, so the scan visits the
+        cached nonidle set in pool-creation order (the historical order).
+        A heap head holds its pool's earliest deadline, so a pool is called
+        only when its head is due or lazily removed: any other pool's call
+        would neither drop nor skim anything, and every heap ends the phase
+        as it did when each nonidle pool was called.
         """
         dropped: list[Job] = []
         nonidle = self._nonidle
@@ -236,7 +239,9 @@ class PendingStore:
             return dropped
         for color, pool in self._pools.items():
             if color in nonidle:
-                dropped.extend(pool.drop_expired(rnd))
+                head = pool._heap[0]
+                if head[0] <= rnd or head[3] in pool._done:
+                    dropped.extend(pool.drop_expired(rnd))
         return dropped
 
     def execute_one(self, color: Color) -> Job | None:

@@ -26,8 +26,14 @@ The default engine maintains both rankings (LRU order and EDF order over
 the eligible colors) incrementally from the per-round deltas — boundary
 crossings, wraps and eligibility flips reported by the state hooks, plus
 idleness flips from the pending store's feed — instead of re-sorting every
-round.  ``incremental=False`` keeps the historical re-sort path; the two
-are bit-identical (enforced by the property and engine-equivalence suites).
+round, and reads them only where the decision can change.  The rankings
+sort their deltas in when read.  While the eligible colors fit in the LRU
+share, the LRU set is the rankings' membership and the EDF walk is not run
+(it would skip every color).  When the LRU and EDF sets equal the last
+emitted ones, the last emitted list itself is returned, which the resource
+bank takes as a no-op by identity.  ``incremental=False`` keeps the
+historical re-sort path; the two are bit-identical (enforced by the
+property and engine-equivalence suites).
 """
 
 from __future__ import annotations
@@ -105,6 +111,9 @@ class DeltaLRUEDFPolicy(Policy):
         self._edf_ranking = MaintainedRanking()
         self._dirty: set[Color] = set()
         self._desired_cache: list[Color] | None = None
+        #: the LRU and EDF sets ``_desired_cache`` was emitted from.
+        self._emitted_lru: set[Color] = set()
+        self._emitted_edf: set[Color] = set()
         #: memoized sort keys of every ranked color (C-level emission sort).
         self._csk: dict[Color, tuple] = {}
 
@@ -205,8 +214,14 @@ class DeltaLRUEDFPolicy(Policy):
                 )
             self._refresh_rankings(rnd, flips)
 
-        # Step 1: the DeltaLRU scheme on the LRU share of the capacity.
-        lru_set = set(self._lru_ranking.top(self.lru_capacity))
+        # Step 1: the DeltaLRU scheme on the LRU share of the capacity.  Both
+        # rankings hold exactly the eligible colors; when they all fit in
+        # the LRU share, membership alone is the LRU set.
+        lru = self._lru_ranking
+        if len(lru) <= self.lru_capacity:
+            lru_set = set(lru.members())
+        else:
+            lru_set = set(lru.top(self.lru_capacity))
         self.lru_set = lru_set
 
         # A color absorbed by the LRU set is an LRU-color; it no longer
@@ -224,17 +239,19 @@ class DeltaLRUEDFPolicy(Policy):
 
         # Step 2: the EDF scheme over eligible non-LRU colors — walk the
         # maintained order, skipping LRU-colors, down to the top ``edf_top``
-        # non-LRU rankings.
-        is_idle = self.sim.is_idle
-        rank = 0
-        for color in self._edf_ranking.ordered():
-            if color in lru_set:
-                continue
-            rank += 1
-            if rank > self.edf_top:
-                break
-            if color not in edf_cached and not is_idle(color):
-                edf_cached.add(color)
+        # non-LRU rankings.  The LRU set is a subset of the ranked colors,
+        # so when it holds all of them the walk would skip every color.
+        if len(self._edf_ranking) > len(lru_set):
+            is_idle = self.sim.is_idle
+            rank = 0
+            for color in self._edf_ranking.ordered():
+                if color in lru_set:
+                    continue
+                rank += 1
+                if rank > self.edf_top:
+                    break
+                if color not in edf_cached and not is_idle(color):
+                    edf_cached.add(color)
 
         # Evict lowest-ranked non-LRU colors while over distinct capacity.
         overflow = len(lru_set) + len(edf_cached) - self.distinct_capacity
@@ -246,6 +263,18 @@ class DeltaLRUEDFPolicy(Policy):
                     edf_cached.discard(color)
                     overflow -= 1
 
+        # The emitted list is a function of the two sets alone: when both
+        # equal the last emitted ones, hand back that very list, which the
+        # bank recognises by identity as already satisfied.
+        desired = self._desired_cache
+        if (
+            desired is not None
+            and lru_set == self._emitted_lru
+            and edf_cached == self._emitted_edf
+        ):
+            return desired
+        self._emitted_lru = lru_set
+        self._emitted_edf = set(edf_cached)
         self._desired_cache = desired = self._emit(
             lru_set, edf_cached, self._csk.__getitem__
         )

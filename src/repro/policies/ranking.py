@@ -11,17 +11,18 @@ Lower keys mean better (higher) rank throughout.
 :class:`MaintainedRanking` keeps such an order *persistent* between rounds:
 instead of re-sorting every eligible color each reconfiguration phase, the
 incremental policies push per-round deltas (arrivals, wraps, eligibility
-flips, idleness flips) into the structure.  Because every rank key ends in
-the consistent color order, keys are unique per color and the maintained
-order is exactly ``sorted(colors, key=...)`` — bit-identical to a full
-re-sort, which the reference (``incremental=False``) policy paths and the
-property suite enforce.
+flips, idleness flips) into the structure, which sorts them in only when
+the order is next read.  Because every rank key ends in the consistent
+color order, keys are unique per color and the maintained order is
+exactly ``sorted(colors, key=...)`` — bit-identical to a full re-sort,
+which the reference (``incremental=False``) policy paths and the property
+suite enforce.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
-from typing import Any, Callable, Iterable
+from bisect import bisect_left
+from typing import Callable, Iterable, KeysView
 
 from repro.core.job import Color, Job, color_sort_key
 from repro.policies.state import ColorState, SectionThreeState
@@ -65,90 +66,101 @@ def lru_key_of(st: ColorState, rnd: int) -> tuple:
 
 
 class MaintainedRanking:
-    """A sorted ``(key, color)`` sequence maintained under point updates.
+    """A sorted ``(key, color)`` sequence that settles its order on read.
 
     Keys must be unique per color (every paper ranking ends in the
-    consistent color order, so they are).  ``ordered()``/``top(k)`` then
-    return exactly what ``sorted(members, key=...)`` would, without paying
-    the full sort on rounds where only a few keys changed.
+    consistent color order, so they are).  :meth:`apply` only records the
+    new keys; :meth:`top` and :meth:`ordered` settle every change recorded
+    since the last read and then return exactly what
+    ``sorted(members, key=...)`` would.  A ranking that is updated every
+    round but read rarely pays for its changes once, at the read, and a
+    color re-keyed several times between reads moves once.
+    :meth:`members`, ``len`` and ``in`` read the current membership without
+    settling.
 
-    Point updates cost one bisect plus a C-level list shift each; when a
-    batch touches a large share of the members, :meth:`apply` falls back to
-    one full rebuild, which is never slower than the historical re-sort.
+    Settling moves each changed color with one bisect plus a C-level list
+    shift; when the changes touch a large share of the members, it does one
+    full rebuild instead, which is never slower than the historical
+    re-sort.
     """
 
-    __slots__ = ("_keys", "_colors", "_key_of")
+    __slots__ = ("_keys", "_colors", "_key_of", "_moved")
 
     def __init__(self) -> None:
+        #: the settled order (as of the last read).
         self._keys: list[tuple] = []
         self._colors: list[Color] = []
+        #: the current key of every member.
         self._key_of: dict[Color, tuple] = {}
+        #: colors re-keyed, added or removed since the last read, mapped to
+        #: their key in the settled order (None if they are not in it).
+        self._moved: dict[Color, tuple | None] = {}
 
     def __len__(self) -> int:
-        return len(self._colors)
+        return len(self._key_of)
 
     def __contains__(self, color: Color) -> bool:
         return color in self._key_of
+
+    def members(self) -> KeysView[Color]:
+        """The current members, in no particular order (no settling)."""
+        return self._key_of.keys()
 
     def clear(self) -> None:
         self._keys.clear()
         self._colors.clear()
         self._key_of.clear()
-
-    def update(self, color: Color, key: tuple) -> None:
-        """Insert ``color`` or move it to the position of its new ``key``."""
-        old = self._key_of.get(color)
-        if old is not None:
-            if old == key:
-                return
-            i = bisect_left(self._keys, old)
-            del self._keys[i]
-            del self._colors[i]
-        i = bisect_left(self._keys, key)
-        self._keys.insert(i, key)
-        self._colors.insert(i, color)
-        self._key_of[color] = key
-
-    def discard(self, color: Color) -> None:
-        """Remove ``color`` if present."""
-        old = self._key_of.pop(color, None)
-        if old is None:
-            return
-        i = bisect_left(self._keys, old)
-        del self._keys[i]
-        del self._colors[i]
+        self._moved.clear()
 
     def apply(
         self,
         updates: Iterable[tuple[Color, tuple]],
         removals: Iterable[Color] = (),
     ) -> None:
-        """Apply a batch of key updates and removals.
-
-        Chooses between point operations and a single rebuild based on the
-        batch size; either way the final order is the same sorted sequence.
-        """
-        updates = list(updates)
-        removals = list(removals)
-        if len(updates) + len(removals) > max(8, len(self._colors) // 2):
-            key_of = self._key_of
-            for color in removals:
-                key_of.pop(color, None)
-            for color, key in updates:
+        """Record a batch of removals, then key updates (inserts included)."""
+        key_of = self._key_of
+        moved = self._moved
+        for color in removals:
+            if color in key_of:
+                moved.setdefault(color, key_of.pop(color))
+        for color, key in updates:
+            old = key_of.get(color)
+            if old != key:
+                moved.setdefault(color, old)
                 key_of[color] = key
+
+    def _settle(self) -> None:
+        """Bring the settled order up to date with the current keys."""
+        moved = self._moved
+        if not moved:
+            return
+        key_of = self._key_of
+        if len(moved) > max(8, len(self._colors) // 2):
             pairs = sorted(zip(key_of.values(), key_of.keys()))
             self._keys = [k for k, _ in pairs]
             self._colors = [c for _, c in pairs]
-            return
-        for color in removals:
-            self.discard(color)
-        for color, key in updates:
-            self.update(color, key)
+        else:
+            keys, colors = self._keys, self._colors
+            for color, old in moved.items():
+                key = key_of.get(color)
+                if key == old:
+                    continue
+                if old is not None:
+                    i = bisect_left(keys, old)
+                    del keys[i]
+                    del colors[i]
+                if key is not None:
+                    i = bisect_left(keys, key)
+                    keys.insert(i, key)
+                    colors.insert(i, color)
+        moved.clear()
 
     def top(self, k: int) -> list[Color]:
         """The ``k`` best-ranked colors (ascending key order)."""
+        self._settle()
         return self._colors[:k]
 
     def ordered(self) -> list[Color]:
         """All members, best rank first.  Treat as read-only."""
+        self._settle()
         return self._colors

@@ -36,8 +36,6 @@ BUCKETS: dict[str, tuple[float, ...]] = {
         1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 5e-3, 2.5e-2, 0.1, 1.0,
     ),
     "repro_task_seconds": (0.001, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0, 120.0),
-    # Supervisor retry-backoff delays: sub-second exponential ladder.
-    "repro_task_backoff_seconds": (0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0),
     # Live round latency: sub-millisecond engine work up to stalled seconds.
     "repro_serve_round_seconds": (
         1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 0.1, 0.5, 1.0,

@@ -7,13 +7,12 @@
   deterministic retry backoff for the serve layer's shard workers.
 """
 
-from repro.utils.jsonl import JsonlJournal, append_jsonl, json_line, read_jsonl
+from repro.utils.jsonl import JsonlJournal, json_line, read_jsonl
 from repro.utils.procs import PipeWorker, retry_backoff
 
 __all__ = [
     "JsonlJournal",
     "PipeWorker",
-    "append_jsonl",
     "json_line",
     "read_jsonl",
     "retry_backoff",

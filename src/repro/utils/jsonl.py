@@ -8,12 +8,8 @@ the single implementation they share:
 - :func:`json_line` — the canonical one-record encoding (sorted keys,
   ``default=str``, trailing newline), so every JSONL artifact in the
   repo is diffable with every other;
-- :func:`append_jsonl` — one-shot open/append/flush/fsync of a single
-  record: a SIGKILL between calls loses at most the final line.
-  Best-effort like the result cache: an unwritable path returns False
-  instead of failing the caller;
-- :class:`JsonlJournal` — the open-handle variant for long-lived
-  writers (one fsync per record without re-opening the file each time).
+- :class:`JsonlJournal` — the append journal for long-lived writers
+  (one fsync per record without re-opening the file each time).
 """
 
 from __future__ import annotations
@@ -23,29 +19,12 @@ import os
 from pathlib import Path
 from typing import Mapping
 
-__all__ = ["JsonlJournal", "append_jsonl", "json_line", "read_jsonl"]
+__all__ = ["JsonlJournal", "json_line", "read_jsonl"]
 
 
 def json_line(record: Mapping) -> str:
     """Encode one record as a JSON line (sorted keys, newline-terminated)."""
     return json.dumps(record, sort_keys=True, default=str) + "\n"
-
-
-def append_jsonl(path: str | os.PathLike, record: Mapping) -> bool:
-    """Append one record to ``path`` with flush + fsync; True on success.
-
-    The open-per-record shape is what a checkpoint journal wants: there
-    is no handle to leak across forks or crashes, and the fsync bounds
-    data loss to the line being written when the process dies.
-    """
-    try:
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(json_line(record))
-            fh.flush()
-            os.fsync(fh.fileno())
-        return True
-    except (OSError, ValueError):
-        return False
 
 
 def read_jsonl(path: str | os.PathLike) -> list[dict]:
@@ -86,10 +65,9 @@ def read_jsonl(path: str | os.PathLike) -> list[dict]:
 class JsonlJournal:
     """An append-only JSONL journal with flush + fsync per record.
 
-    The long-lived counterpart of :func:`append_jsonl`: the file handle
-    stays open (one ``write``/``flush``/``fsync`` per record, no
-    re-open), which is what a server emitting one record per round
-    needs.  Writes are best-effort: a failed append flips
+    The file handle stays open (one ``write``/``flush``/``fsync`` per
+    record, no re-open), which is what a server emitting one record per
+    round needs.  Writes are best-effort: a failed append flips
     :attr:`healthy` to False and returns False, it never raises into
     the caller's hot path.
 

@@ -1,14 +1,19 @@
 """Unit tests for algorithm DeltaLRU-EDF (Section 3.1.3)."""
 
+from collections import Counter
+
 import pytest
 
+from repro.core.engine import make_simulator
 from repro.core.job import Job
+from repro.core.pending import PendingPool
 from repro.core.request import Instance, RequestSequence
 from repro.core.schedule import validate_schedule
 from repro.core.simulator import simulate
 from repro.policies.dlru import DeltaLRUPolicy
 from repro.policies.dlru_edf import DeltaLRUEDFPolicy
 from repro.policies.edf import EDFPolicy
+from repro.policies.ranking import MaintainedRanking
 from repro.workloads.adversarial import (
     anti_dlru_instance,
     anti_dlru_offline_schedule,
@@ -16,6 +21,7 @@ from repro.workloads.adversarial import (
     anti_edf_offline_schedule,
 )
 from repro.workloads.generators import rate_limited_workload
+from repro.workloads.scenarios import datacenter_workload
 
 
 def batched(jobs_spec, delta=1):
@@ -162,3 +168,68 @@ class TestLemma31SmallColors:
         run = simulate(inst, DeltaLRUEDFPolicy(5), n=8)
         assert run.reconfig_cost == 0
         assert run.drop_cost == 3
+
+
+@pytest.fixture(scope="class")
+def datacenter_round_work():
+    """Count the work of the incremental engine on the perfbench
+    ``solve-datacenter`` shape at a short horizon: 64 services at n = 1024,
+    so the eligible colors always fit in the LRU share of 256."""
+    inst = datacenter_workload(num_services=64, horizon=512, delta=8, seed=0)
+    policy = DeltaLRUEDFPolicy(8)
+    sim = make_simulator(
+        inst, policy, 1024, engine="incremental", record_events=False
+    )
+    counts = Counter()
+    drop_expired = PendingPool.drop_expired
+    ordered = MaintainedRanking.ordered
+    decide = policy.desired_configuration
+    previous = None
+
+    def counted_drop(pool, rnd):
+        head = pool._heap[0]
+        counts["drop_calls"] += 1
+        if head[0] > rnd and head[3] not in pool._done:
+            counts["drop_calls_without_work"] += 1
+        return drop_expired(pool, rnd)
+
+    def counted_ordered(ranking):
+        if ranking is policy._edf_ranking:
+            counts["edf_ordered_reads"] += 1
+        return ordered(ranking)
+
+    def counted_decide(rnd, mini):
+        nonlocal previous
+        desired = decide(rnd, mini)
+        counts["decisions"] += 1
+        counts["reused"] += desired is previous
+        previous = desired
+        return desired
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PendingPool, "drop_expired", counted_drop)
+        mp.setattr(MaintainedRanking, "ordered", counted_ordered)
+        mp.setattr(policy, "desired_configuration", counted_decide)
+        for rnd in range(inst.sequence.horizon):
+            sim.step(rnd)
+    counts["rounds"] = inst.sequence.horizon
+    return counts
+
+
+class TestRoundWork:
+    """Counts, not times: the round's work follows what changed."""
+
+    def test_desired_list_reused_when_sets_unchanged(self, datacenter_round_work):
+        counts = datacenter_round_work
+        assert counts["decisions"] == counts["rounds"]
+        assert counts["reused"] >= 0.95 * counts["decisions"]
+
+    def test_edf_ranking_never_read_in_order(self, datacenter_round_work):
+        # Every eligible color fits in the LRU share, so the EDF walk
+        # would skip every color and the eviction never triggers.
+        assert datacenter_round_work["edf_ordered_reads"] == 0
+
+    def test_drop_phase_calls_only_pools_with_work(self, datacenter_round_work):
+        counts = datacenter_round_work
+        assert counts["drop_calls"] > 0
+        assert counts["drop_calls_without_work"] == 0

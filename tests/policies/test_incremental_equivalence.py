@@ -15,6 +15,7 @@ from repro.core.simulator import simulate
 from repro.policies.dlru import DeltaLRUPolicy
 from repro.policies.dlru_edf import DeltaLRUEDFPolicy
 from repro.policies.edf import EDFPolicy, SeqEDFPolicy
+from repro.policies.ranking import MaintainedRanking
 from repro.workloads.generators import bursty_workload, rate_limited_workload
 from repro.workloads.scenarios import datacenter_workload
 from tests.core.hashseed import string_relabel
@@ -55,6 +56,70 @@ def test_dlru_edf_uneven_split_equivalent():
         ),
         n=12,
     )
+
+
+def _lru_reads(monkeypatch, policies) -> list[str]:
+    """Record, in order, how the incremental policies read their LRU
+    ranking: ``members`` (membership decides) or ``top`` (order decides)."""
+    reads: list[str] = []
+    for name in ("members", "top"):
+        original = getattr(MaintainedRanking, name)
+
+        def spy(ranking, *args, _name=name, _original=original):
+            if any(ranking is p._lru_ranking for p in policies):
+                reads.append(_name)
+            return _original(ranking, *args)
+
+        monkeypatch.setattr(MaintainedRanking, name, spy)
+    return reads
+
+
+def _recording_dlru_edf(policies, delta, **kwargs):
+    def make(incremental):
+        policy = DeltaLRUEDFPolicy(delta, incremental=incremental, **kwargs)
+        policies.append(policy)
+        return policy
+
+    return make
+
+
+def test_dlru_edf_membership_decides_equivalent(monkeypatch):
+    # The solve-datacenter shape at a short horizon: 64 services never
+    # fill the LRU share of 256 colors, so membership decides every round.
+    inst = datacenter_workload(num_services=64, horizon=512, delta=8, seed=0)
+    policies: list[DeltaLRUEDFPolicy] = []
+    reads = _lru_reads(monkeypatch, policies)
+    _assert_equivalent(inst, _recording_dlru_edf(policies, 8), n=1024)
+    assert reads and set(reads) == {"members"}
+
+
+@pytest.mark.parametrize(
+    "n, lru_fraction, switches",
+    [
+        # The paper's split: the eligible count exceeds the LRU share of 4
+        # colors after 320 rounds in which membership decided, so the lazy
+        # rankings settle that whole stretch at their first ordered read.
+        # A color the EDF half holds stays cached, hence eligible, so the
+        # count does not come back down on this instance.
+        (16, 0.5, ("mt",)),
+        # No EDF half: a color that leaves the LRU set loses its slots and
+        # turns ineligible at its next boundary, so the count crosses the
+        # share in both directions, dozens of times.
+        (8, 1, ("mt", "tm")),
+    ],
+    ids=["paper-split", "lru-only"],
+)
+def test_dlru_edf_regime_switch_equivalent(monkeypatch, n, lru_fraction, switches):
+    # E12's quick instance.
+    inst = datacenter_workload(num_services=8, horizon=2048, delta=8, seed=0)
+    policies: list[DeltaLRUEDFPolicy] = []
+    reads = _lru_reads(monkeypatch, policies)
+    _assert_equivalent(
+        inst, _recording_dlru_edf(policies, 8, lru_fraction=lru_fraction), n=n
+    )
+    regimes = "".join(read[0] for read in reads)
+    for switch in switches:
+        assert switch in regimes
 
 
 @pytest.mark.parametrize("seed", [0, 7])

@@ -4,12 +4,7 @@ import json
 
 import pytest
 
-from repro.utils.jsonl import (
-    JsonlJournal,
-    append_jsonl,
-    json_line,
-    read_jsonl,
-)
+from repro.utils.jsonl import JsonlJournal, json_line, read_jsonl
 
 
 class TestJsonLine:
@@ -23,18 +18,6 @@ class TestJsonLine:
     def test_non_json_values_stringified(self):
         line = json_line({"p": object()})
         assert json.loads(line)["p"].startswith("<object object")
-
-
-class TestAppendJsonl:
-    def test_appends_one_line_per_call(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        assert append_jsonl(path, {"i": 0})
-        assert append_jsonl(path, {"i": 1})
-        rows = [json.loads(l) for l in path.read_text().splitlines()]
-        assert rows == [{"i": 0}, {"i": 1}]
-
-    def test_unwritable_path_returns_false(self, tmp_path):
-        assert append_jsonl(tmp_path / "no" / "dir" / "x.jsonl", {}) is False
 
 
 class TestJsonlJournal:
