@@ -1,6 +1,6 @@
 # Common development targets.
 
-.PHONY: install test bench serve-bench opt-bench experiments experiments-full docs-check all
+.PHONY: install test bench opt-bench experiments experiments-full experiments-md docs-check all
 
 install:
 	pip install -e . || python setup.py develop
@@ -10,10 +10,6 @@ test:
 
 bench:
 	pytest benchmarks/ --benchmark-only
-
-# Serve soak: in-process server + load generator per case, digest-verified.
-serve-bench:
-	python benchmarks/serve.py --scale quick
 
 # Competitive-ratio dashboard: exact offline OPT vs every online policy.
 opt-bench:

@@ -21,7 +21,6 @@ from typing import Callable, Mapping, Sequence
 
 from repro import __version__
 from repro.analysis.metrics import collect_metrics
-from repro.core.engine import resolve_engine
 from repro.core.request import Instance
 from repro.core.simulator import simulate
 from repro.experiments import EXPERIMENTS, run_experiment
@@ -879,11 +878,7 @@ def _main(argv: Sequence[str] | None = None) -> int:
                 summary = result.ledger.summary()
                 schedule = result.schedule
             else:
-                policy = make_policy(
-                    args.policy,
-                    instance.delta,
-                    incremental=resolve_engine(args.engine) != "reference",
-                )
+                policy = make_policy(args.policy, instance.delta)
                 run = simulate(instance, policy, n=args.n,
                                record_events=False, engine=args.engine)
                 summary = collect_metrics(run).as_dict()

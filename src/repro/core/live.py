@@ -69,16 +69,14 @@ class LiveSequence:
     by the jobs still in flight, not the session's age.
     """
 
-    def __init__(self, start_round: int = 0):
-        if start_round < 0:
-            raise ValueError(f"start_round must be >= 0, got {start_round}")
+    def __init__(self):
         self._buckets: dict[int, list[Job]] = {}
-        self._next = start_round
+        self._next = 0
         self._closed = False
         self._buffered = 0
         self._pushed = 0
         self._bounds: dict[Color, int] = {}
-        self._max_deadline = start_round
+        self._max_deadline = 0
 
     # -- state ----------------------------------------------------------------
 

@@ -96,10 +96,6 @@ class ResourceBank:
     def is_configured(self, color: Color) -> bool:
         return color in self._locs
 
-    def configured_location_count(self) -> int:
-        """Number of non-black locations."""
-        return self.n - len(self._black)
-
     def nonblack_locations_of_any(self, colors: Iterable[Color]) -> Iterable[int]:
         """Ascending locations currently configured to any of ``colors``."""
         lists = [self._locs[c] for c in colors if c in self._locs]

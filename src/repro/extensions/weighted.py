@@ -22,7 +22,7 @@ measures it against the weight-blind original on skewed workloads.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -111,9 +111,12 @@ class WeightAwarePolicy(DeltaLRUEDFPolicy):
                  **kwargs):
         super().__init__(delta, **kwargs)
         self.weights = dict(weights)
+
+    def bind(self, sim) -> None:
+        super().bind(sim)
         # The weighted arrival hook below bypasses the base state hook, so
         # it cannot feed the incremental rankings their per-round deltas;
-        # run on the (bit-identical) full re-sort path instead.
+        # run on the (bit-identical) full re-sort path on either engine.
         self.incremental = False
 
     def on_arrival_phase(self, rnd: int, request: Request) -> None:

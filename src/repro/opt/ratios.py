@@ -43,7 +43,6 @@ from typing import Callable, Mapping
 
 from repro import __version__
 from repro.analysis.reporting import Table
-from repro.core.engine import resolve_engine
 from repro.core.request import Instance
 from repro.core.simulator import simulate
 from repro.experiments.cache import ResultCache, cache_key
@@ -168,11 +167,10 @@ def _compute_cell(
         "policy_costs": {},
         "ratios": {},
     }
-    incremental = resolve_engine(engine) != "reference"
     for policy_name in RATIO_POLICIES:
         run = simulate(
             instance,
-            make_policy(policy_name, instance.delta, incremental=incremental),
+            make_policy(policy_name, instance.delta),
             n=case.n,
             record_events=False,
             engine=engine,

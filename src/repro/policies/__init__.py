@@ -29,25 +29,19 @@ from repro.policies.baselines import (
 from repro.policies.direct import DirectLRUEDFPolicy
 
 #: named constructors shared by the CLI and the serve layer.  Each factory
-#: takes ``(delta, incremental)``; baselines ignore both (they carry no
-#: counter machinery and have a single engine).
+#: takes ``delta``; baselines ignore it.  A policy runs the reference or the
+#: incremental path of the simulator it is bound to.
 POLICY_FACTORIES = {
-    "dlru": lambda delta, incremental=True: DeltaLRUPolicy(
-        delta, incremental=incremental
-    ),
-    "edf": lambda delta, incremental=True: EDFPolicy(
-        delta, incremental=incremental
-    ),
-    "dlru-edf": lambda delta, incremental=True: DeltaLRUEDFPolicy(
-        delta, incremental=incremental
-    ),
-    "static": lambda delta, incremental=True: StaticPartitionPolicy(),
-    "classic-lru": lambda delta, incremental=True: ClassicLRUPolicy(),
-    "greedy": lambda delta, incremental=True: GreedyUtilizationPolicy(),
+    "dlru": DeltaLRUPolicy,
+    "edf": EDFPolicy,
+    "dlru-edf": DeltaLRUEDFPolicy,
+    "static": lambda delta: StaticPartitionPolicy(),
+    "classic-lru": lambda delta: ClassicLRUPolicy(),
+    "greedy": lambda delta: GreedyUtilizationPolicy(),
 }
 
 
-def make_policy(name: str, delta: int | float, incremental: bool = True):
+def make_policy(name: str, delta: int | float):
     """Construct the named policy for one run (policies are single-use)."""
     try:
         factory = POLICY_FACTORIES[name]
@@ -55,7 +49,7 @@ def make_policy(name: str, delta: int | float, incremental: bool = True):
         raise ValueError(
             f"unknown policy {name!r}; choose from {sorted(POLICY_FACTORIES)}"
         ) from None
-    return factory(delta, incremental)
+    return factory(delta)
 
 
 __all__ = [

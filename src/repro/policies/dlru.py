@@ -14,8 +14,8 @@ The default engine maintains the LRU order incrementally: a color's
 timestamp only changes at its delay-bound boundaries (wraps are recorded
 there too), and those rounds are exactly the ones the state hooks report as
 touched, so re-keying the touched colors keeps the maintained order equal
-to a full re-sort.  ``incremental=False`` keeps the historical per-round
-re-sort; both paths are bit-identical.
+to a full re-sort.  On the reference engine the policy keeps the
+historical per-round re-sort; both paths are bit-identical.
 """
 
 from __future__ import annotations
@@ -32,9 +32,8 @@ from repro.policies.state import SectionThreeState
 class DeltaLRUPolicy(Policy):
     """DeltaLRU with ``n`` resources (``n`` even; replication always on)."""
 
-    def __init__(self, delta: int, track_history: bool = False, incremental: bool = True):
+    def __init__(self, delta: int, track_history: bool = False):
         self.state = SectionThreeState(delta, track_history=track_history)
-        self.incremental = incremental
         self._ranking = MaintainedRanking()
         self._dirty: set[Color] = set()
         self._desired_cache: list[Color] | None = None
@@ -43,6 +42,7 @@ class DeltaLRUPolicy(Policy):
         super().bind(sim)
         if sim.n % 2 != 0:
             raise ValueError(f"DeltaLRU requires an even number of resources, got {sim.n}")
+        self.incremental = sim.incremental
         self.capacity = sim.n // 2
         self._ranking.clear()
         self._dirty = set(self.state.states)

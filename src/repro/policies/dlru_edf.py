@@ -31,9 +31,9 @@ sort their deltas in when read.  While the eligible colors fit in the LRU
 share, the LRU set is the rankings' membership and the EDF walk is not run
 (it would skip every color).  When the LRU and EDF sets equal the last
 emitted ones, the last emitted list itself is returned, which the resource
-bank takes as a no-op by identity.  ``incremental=False`` keeps the
-historical re-sort path; the two are bit-identical (enforced by the
-property and engine-equivalence suites).
+bank takes as a no-op by identity.  On the reference engine the policy
+keeps the historical re-sort path; the two are bit-identical (enforced by
+the property and engine-equivalence suites).
 """
 
 from __future__ import annotations
@@ -83,9 +83,10 @@ class DeltaLRUEDFPolicy(Policy):
         (capacity becomes ``n`` distinct colors, split by ``lru_fraction``).
     track_history:
         Keep full wrap-event history for the super-epoch analysis.
-    incremental:
-        Maintain the rankings from per-round deltas (default) or re-sort
-        every round (the reference engine; bit-identical results).
+
+    The policy maintains its rankings from per-round deltas on the
+    incremental engine and re-sorts every round on the reference engine
+    (bit-identical results); :meth:`bind` reads the engine.
     """
 
     def __init__(
@@ -94,7 +95,6 @@ class DeltaLRUEDFPolicy(Policy):
         lru_fraction: float | Fraction | str = 0.5,
         replication: bool = True,
         track_history: bool = False,
-        incremental: bool = True,
     ):
         self._lru_share = _exact_fraction(lru_fraction)
         if not (0 <= self._lru_share <= 1):
@@ -102,7 +102,6 @@ class DeltaLRUEDFPolicy(Policy):
         self.state = SectionThreeState(delta, track_history=track_history)
         self.lru_fraction = lru_fraction
         self.replication = replication
-        self.incremental = incremental
         #: colors currently held by the (stateful) EDF part of the cache.
         self.edf_cached: set[Color] = set()
         #: colors currently held by the LRU part (recomputed every round).
@@ -136,6 +135,7 @@ class DeltaLRUEDFPolicy(Policy):
         # binary floating point.
         self.lru_capacity = int(distinct * self._lru_share)
         self.edf_top = distinct - self.lru_capacity
+        self.incremental = sim.incremental
         self._lru_ranking.clear()
         self._edf_ranking.clear()
         self._dirty = set(self.state.states)
@@ -333,7 +333,3 @@ class DeltaLRUEDFPolicy(Policy):
     @property
     def ineligible_drops(self) -> int:
         return self.state.total_ineligible_drops
-
-    @property
-    def distinct_cached(self) -> int:
-        return len(self.lru_set) + len(self.edf_cached)

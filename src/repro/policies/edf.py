@@ -15,8 +15,8 @@ Seq-EDF is the same scheme with all ``m`` locations used for distinct colors
 The default engine keeps the ranking as a :class:`MaintainedRanking`
 updated from the per-round deltas (boundary crossings, wraps, eligibility
 flips from the state hooks; idleness flips from the pending store's feed)
-instead of re-sorting every eligible color each round.
-``incremental=False`` selects the historical full re-sort — both paths are
+instead of re-sorting every eligible color each round.  On the reference
+engine the policy runs the historical full re-sort — both paths are
 bit-identical, which the property and engine-equivalence suites enforce.
 
 Appendix B shows EDF thrashes (reconfigures every time a short-delay color
@@ -48,13 +48,11 @@ class EDFPolicy(Policy):
         replication: bool = True,
         track_history: bool = False,
         gate_eligibility: bool = True,
-        incremental: bool = True,
     ):
         self.state = SectionThreeState(
             delta, track_history=track_history, gate_eligibility=gate_eligibility
         )
         self.replication = replication
-        self.incremental = incremental
         self.cached: set[Color] = set()
         self._ranking = MaintainedRanking()
         self._dirty: set[Color] = set()
@@ -70,6 +68,7 @@ class EDFPolicy(Policy):
             self.capacity = sim.n // 2
         else:
             self.capacity = sim.n
+        self.incremental = sim.incremental
         # Rebinding to a fresh simulator invalidates the maintained order
         # (idleness lives in the simulator's pending store): rebuild lazily
         # from every known color.
@@ -196,12 +195,10 @@ class SeqEDFPolicy(EDFPolicy):
         delta: int,
         track_history: bool = False,
         gate_eligibility: bool = False,
-        incremental: bool = True,
     ):
         super().__init__(
             delta,
             replication=False,
             track_history=track_history,
             gate_eligibility=gate_eligibility,
-            incremental=incremental,
         )

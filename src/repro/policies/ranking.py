@@ -15,8 +15,8 @@ flips, idleness flips) into the structure, which sorts them in only when
 the order is next read.  Because every rank key ends in the consistent
 color order, keys are unique per color and the maintained order is
 exactly ``sorted(colors, key=...)`` — bit-identical to a full re-sort,
-which the reference (``incremental=False``) policy paths and the property
-suite enforce.
+which the policies' reference-engine paths and the property suite
+enforce.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ the ``numEpochs(sigma)`` of Lemmas 3.3/3.4.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.core.job import Color, Job, color_sort_key
 from repro.core.request import Request
@@ -136,9 +136,6 @@ class SectionThreeState:
             self.states[color] = st
             self._by_bound.setdefault(delay_bound, []).append(st)
         return st
-
-    def known_colors(self) -> Iterable[Color]:
-        return self.states.keys()
 
     def eligible_colors(self) -> list[Color]:
         return [c for c, st in self.states.items() if st.eligible]

@@ -12,8 +12,8 @@ component digests.  A server that scheduled even one job differently
 from the offline engines fails the digest check.
 
 This is both the correctness harness (``--verify``, used by the serve
-determinism tests and the CI smoke leg) and the throughput harness
-(``benchmarks/serve.py`` wraps it to produce ``BENCH_serve.json``).
+determinism tests and the CI smoke leg) and a throughput report: jobs
+and rounds per second, and exact tick-latency percentiles.
 """
 
 from __future__ import annotations
@@ -98,11 +98,6 @@ class LoadgenReport:
                 "mean": (sum(lat) / len(lat) * 1e3) if lat else 0.0,
                 "max": max(lat) * 1e3 if lat else 0.0,
             },
-            # Flat aliases (milliseconds) for BENCH_serve consumers that
-            # select columns by key rather than walking nested dicts.
-            "tick_latency_p50": self.latency_quantile(0.50) * 1e3,
-            "tick_latency_p95": self.latency_quantile(0.95) * 1e3,
-            "tick_latency_p99": self.latency_quantile(0.99) * 1e3,
             "digests_match": self.digests_match,
             # Included so two runs' reports can be compared digest for
             # digest (the chaos-serve drill does exactly that).
@@ -177,11 +172,7 @@ def verify_offline(
         shard_instance = Instance(
             sequence, params["delta"], name=f"offline/shard{shard_id}"
         )
-        policy = make_policy(
-            params["policy"],
-            params["delta"],
-            incremental=engine != "reference",
-        )
+        policy = make_policy(params["policy"], params["delta"])
         sim = make_simulator(
             shard_instance,
             policy,

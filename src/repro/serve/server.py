@@ -28,7 +28,7 @@ import os
 import signal
 import tempfile
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from time import perf_counter
 from typing import Sequence
@@ -68,6 +68,12 @@ __all__ = ["ServeConfig", "SchedulingServer", "serve_forever"]
 #: client trickling headers past either gets 431 and the connection closed.
 MAX_HEADER_BYTES = 16 * 1024
 MAX_HEADER_LINES = 100
+#: a subscriber whose transport write buffer exceeds this many bytes is
+#: dropped instead of growing server memory without bound.
+SUBSCRIBER_BUFFER_LIMIT = 1 << 20
+#: recent tick/admission latency samples kept for the stats frame's exact
+#: percentiles.
+LATENCY_WINDOW = 4096
 
 
 @dataclass
@@ -102,9 +108,6 @@ class ServeConfig:
     worker_timeout: float = 30.0
     #: fault plan (inline JSON or path) installed in shard workers.
     fault_plan: str | None = None
-    #: a subscriber whose transport write buffer exceeds this many bytes
-    #: is dropped instead of growing server memory without bound.
-    subscriber_buffer_limit: int = 1 << 20
     #: JSONL sink for request-scoped spans (``repro-trace-v2``); None
     #: disables span tracing entirely (the default — zero overhead).
     spans: str | None = None
@@ -112,9 +115,6 @@ class ServeConfig:
     #: mode (0 disables the background refresh; ``/metrics`` still
     #: scrapes on demand).
     metrics_interval: float = 2.0
-    #: recent tick/admission latency samples kept for the stats frame's
-    #: exact percentiles.
-    latency_window: int = 4096
     #: tenant plan path (``{"tenants": [contract, ...]}``) registered at
     #: startup; None leaves multi-tenant admission off entirely — no
     #: shedding, no tenant telemetry, digests byte-identical to a server
@@ -147,18 +147,9 @@ class ServeConfig:
             raise ValueError(
                 f"worker_timeout must be positive, got {self.worker_timeout}"
             )
-        if self.subscriber_buffer_limit < 1:
-            raise ValueError(
-                f"subscriber_buffer_limit must be >= 1, "
-                f"got {self.subscriber_buffer_limit}"
-            )
         if self.metrics_interval < 0:
             raise ValueError(
                 f"metrics_interval must be >= 0, got {self.metrics_interval}"
-            )
-        if self.latency_window < 1:
-            raise ValueError(
-                f"latency_window must be >= 1, got {self.latency_window}"
             )
         if self.idle_timeout < 0:
             raise ValueError(
@@ -218,9 +209,7 @@ class SchedulingServer:
                     n=config.n,
                     delta=config.delta,
                     policy_factory=lambda: make_policy(
-                        config.policy,
-                        config.delta,
-                        incremental=config.engine != "reference",
+                        config.policy, config.delta
                     ),
                     shards=config.shards,
                     speed=config.speed,
@@ -272,10 +261,8 @@ class SchedulingServer:
         #: failure fallback: stale beats missing).
         self._worker_snapshots: dict[int, dict] = {}
         #: recent latency samples (seconds) for exact stats percentiles.
-        self._tick_window: deque[float] = deque(maxlen=config.latency_window)
-        self._admission_window: deque[float] = deque(
-            maxlen=config.latency_window
-        )
+        self._tick_window: deque[float] = deque(maxlen=LATENCY_WINDOW)
+        self._admission_window: deque[float] = deque(maxlen=LATENCY_WINDOW)
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -437,7 +424,6 @@ class SchedulingServer:
 
     def _broadcast(self, frame: dict) -> None:
         payload = encode_frame(frame)
-        limit = self.config.subscriber_buffer_limit
         telem = self.telemetry
         alive = []
         for writer in self._subscribers:
@@ -446,7 +432,7 @@ class SchedulingServer:
             transport = writer.transport
             if (
                 transport is not None
-                and transport.get_write_buffer_size() > limit
+                and transport.get_write_buffer_size() > SUBSCRIBER_BUFFER_LIMIT
             ):
                 # A subscriber that stopped reading would buffer result
                 # frames in server memory forever; cut it loose instead.

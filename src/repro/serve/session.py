@@ -5,9 +5,8 @@ One session = ``S`` independent simulators, each owning a
 resources.  Jobs are routed to shards by hashing their color, so every
 color's full pending pool lives on exactly one shard and the per-color
 semantics (delay bound ``D_l``, counter machinery, EDF order within a
-color) are untouched by sharding.  The capacity split is exact: shares
-are computed with :class:`fractions.Fraction` largest-remainder, never
-binary floats.
+color) are untouched by sharding.  The capacity split is even, with the
+remainder on the lowest shard ids.
 
 Determinism: the shard of a color depends only on the color and the
 shard count (framed blake2b, no process hash seed), and each shard is a
@@ -30,7 +29,6 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from repro.core.bdr import exact_fraction
@@ -39,7 +37,6 @@ from repro.core.engine import make_simulator, resolve_engine
 from repro.core.job import Color, Job
 from repro.core.live import LiveSequence, LiveSequenceError
 from repro.core.simulator import Policy
-from repro.policies.dlru_edf import _exact_fraction
 from repro.serve.tenants import (
     ShardTenantMeter,
     TenantContract,
@@ -74,18 +71,11 @@ def shard_of(color: Color, shards: int) -> int:
     return int.from_bytes(word, "big") % shards
 
 
-def split_capacity(
-    n: int,
-    shards: int,
-    weights: Sequence[int | float] | None = None,
-) -> list[int]:
-    """Split ``n`` resources over ``shards`` exactly (largest remainder).
+def split_capacity(n: int, shards: int) -> list[int]:
+    """Split ``n`` resources evenly over ``shards``.
 
-    ``weights`` (default: uniform) are read exactly — floats via their
-    decimal literal, like the policy capacity splits — so ``[0.3, 0.7]``
-    of 10 is ``[3, 7]``, never off-by-one from binary rounding.  Every
-    shard must end up with at least one resource; remainder ties go to
-    lower shard ids (deterministic).
+    The remainder goes to the lowest shard ids, one resource each
+    (deterministic).  Every shard must end up with at least one resource.
     """
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
@@ -94,28 +84,8 @@ def split_capacity(
             f"cannot split {n} resources over {shards} shards: "
             f"every shard needs at least one resource"
         )
-    if weights is None:
-        weights = [1] * shards
-    if len(weights) != shards:
-        raise ValueError(f"expected {shards} weights, got {len(weights)}")
-    exact = [_exact_fraction(w) for w in weights]
-    if any(w <= 0 for w in exact):
-        raise ValueError("shard weights must be positive")
-    total = sum(exact)
-    shares = [Fraction(n) * w / total for w in exact]
-    floors = [int(s) for s in shares]  # Fraction floors toward zero; s >= 0
-    remainders = [s - f for s, f in zip(shares, floors)]
-    leftover = n - sum(floors)
-    # Largest remainder first; ties broken by shard id for determinism.
-    order = sorted(range(shards), key=lambda i: (-remainders[i], i))
-    for i in order[:leftover]:
-        floors[i] += 1
-    if min(floors) < 1:
-        raise ValueError(
-            f"weights {list(weights)!r} starve a shard of {n} resources: "
-            f"split came out as {floors}"
-        )
-    return floors
+    base, extra = divmod(n, shards)
+    return [base + 1 if i < extra else base for i in range(shards)]
 
 
 class AdmissionError(ValueError):
@@ -167,8 +137,8 @@ class SessionShard:
             # say which shard's slice was the problem.
             raise ValueError(
                 f"shard {shard_id} got capacity {n}, which "
-                f"{type(policy).__name__} rejects: {exc}; adjust n, the "
-                f"shard count, or the shard weights"
+                f"{type(policy).__name__} rejects: {exc}; adjust n or the "
+                f"shard count"
             ) from None
 
     @property
@@ -508,7 +478,6 @@ class ShardedSession(AdmissionGate):
         shards: int = 1,
         speed: int = 1,
         max_pending: int = 10_000,
-        weights: Sequence[int | float] | None = None,
         telemetry: Recorder | None = None,
         name: str = "serve",
         engine: str = "incremental",
@@ -517,7 +486,7 @@ class ShardedSession(AdmissionGate):
         self.delta = delta
         self.speed = speed
         self.engine = resolve_engine(engine)
-        self.capacities = split_capacity(n, shards, weights)
+        self.capacities = split_capacity(n, shards)
         self.shards = [
             SessionShard(
                 i,

@@ -103,11 +103,7 @@ def _shard_worker_main(
         recorder = TelemetryRecorder()
         set_recorder(recorder)
     try:
-        policy = make_policy(
-            params["policy"],
-            params["delta"],
-            incremental=params["engine"] != "reference",
-        )
+        policy = make_policy(params["policy"], params["delta"])
         shard = SessionShard(
             shard_id,
             params["capacity"],
@@ -218,15 +214,11 @@ class WorkerShardedSession(AdmissionGate):
         shards: int = 1,
         speed: int = 1,
         max_pending: int = 10_000,
-        weights: Sequence[int | float] | None = None,
         telemetry: Recorder | None = None,
         name: str = "serve",
         engine: str = "incremental",
         retries: int = 2,
         timeout: float = 30.0,
-        backoff_seed: int = 0,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 2.0,
         fault_plan_json: str | None = None,
     ):
         if not journal_path:
@@ -240,7 +232,7 @@ class WorkerShardedSession(AdmissionGate):
         self.delta = delta
         self.speed = speed
         self.engine = resolve_engine(engine)
-        self.capacities = split_capacity(n, shards, weights)
+        self.capacities = split_capacity(n, shards)
         super().__init__(
             [LiveSequence() for _ in range(shards)],
             self.capacities,
@@ -252,9 +244,6 @@ class WorkerShardedSession(AdmissionGate):
         self.telemetry = telemetry if telemetry is not None else get_recorder()
         self.retries = retries
         self.timeout = timeout
-        self.backoff_seed = backoff_seed
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self.fault_plan_json = fault_plan_json
         self._params_base = {
             "delta": delta,
@@ -349,15 +338,7 @@ class WorkerShardedSession(AdmissionGate):
             self.telemetry.count(
                 "repro_serve_worker_respawns_total", shard=str(wk.shard_id)
             )
-        time.sleep(
-            retry_backoff(
-                self.backoff_seed,
-                f"shard{wk.shard_id}/{op}",
-                attempt,
-                base=self.backoff_base,
-                cap=self.backoff_cap,
-            )
-        )
+        time.sleep(retry_backoff(0, f"shard{wk.shard_id}/{op}", attempt))
         self._spawn(wk, replay=True)
 
     def _shutdown_workers(self) -> None:

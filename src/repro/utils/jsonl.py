@@ -71,24 +71,17 @@ class JsonlJournal:
     :attr:`healthy` to False and returns False, it never raises into
     the caller's hot path.
 
-    ``fsync=False`` (or ``append(..., sync=False)`` per record) flushes
-    to the OS without forcing the disk write: the record survives a
-    *process* kill — the page cache outlives the process, which is all
-    worker-failover replay needs — but not an OS crash.  Any later
-    synced append also durably lands every earlier flushed record, since
-    fsync covers the whole file.
+    ``append(..., sync=False)`` flushes a record to the OS without forcing
+    the disk write: the record survives a *process* kill — the page cache
+    outlives the process, which is all worker-failover replay needs — but
+    not an OS crash.  Any later synced append also durably lands every
+    earlier flushed record, since fsync covers the whole file.
     """
 
-    def __init__(
-        self,
-        path: str | os.PathLike,
-        truncate: bool = False,
-        fsync: bool = True,
-    ):
+    def __init__(self, path: str | os.PathLike, truncate: bool = False):
         self.path = Path(path)
         self.records_written = 0
         self.healthy = True
-        self.fsync = fsync
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._fh = open(
@@ -98,18 +91,15 @@ class JsonlJournal:
             self._fh = None
             self.healthy = False
 
-    def append(self, record: Mapping, sync: bool | None = None) -> bool:
-        """Write one record durably; False (and unhealthy) on failure.
-
-        ``sync`` overrides the journal-level :attr:`fsync` default for
-        this record only.
-        """
+    def append(self, record: Mapping, sync: bool = True) -> bool:
+        """Write one record (fsynced unless ``sync`` is False); False
+        (and unhealthy) on failure."""
         if self._fh is None:
             return False
         try:
             self._fh.write(json_line(record))
             self._fh.flush()
-            if self.fsync if sync is None else sync:
+            if sync:
                 os.fsync(self._fh.fileno())
             self.records_written += 1
             return True

@@ -68,9 +68,7 @@ def hashseed_digests() -> dict[str, str]:
     )
     out = {}
     for engine in ENGINES:
-        policy = DeltaLRUEDFPolicy(
-            instance.delta, incremental=engine != "reference"
-        )
+        policy = DeltaLRUEDFPolicy(instance.delta)
         result = make_simulator(instance, policy, 16, engine=engine).run()
         out[engine] = result_digest(result)
     recorder = TelemetryRecorder(trace=TraceWriter(io.StringIO()))

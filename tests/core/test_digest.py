@@ -75,7 +75,7 @@ def v1_digests(ledger, schedule, events, executed_uids, dropped_uids) -> dict:
 def run_parts(instance, engine="incremental", speed=1, policy="dlru-edf", n=4):
     sim = make_simulator(
         instance,
-        make_policy(policy, instance.delta, incremental=engine != "reference"),
+        make_policy(policy, instance.delta),
         n,
         engine=engine,
         speed=speed,

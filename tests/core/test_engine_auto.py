@@ -53,9 +53,7 @@ class TestAutoEngine:
         runs = {
             engine: simulate(
                 instance,
-                make_policy(
-                    "edf", instance.delta, incremental=engine != "reference"
-                ),
+                make_policy("edf", instance.delta),
                 n=8,
                 record_events=False,
                 engine=engine,

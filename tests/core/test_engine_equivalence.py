@@ -42,7 +42,7 @@ def _two_way(instance, make_pol, n, speed=1):
     for engine in ENGINES:
         sim = make_simulator(
             instance,
-            make_pol(incremental=engine != "reference"),
+            make_pol(),
             n,
             engine=engine,
             speed=speed,
@@ -61,7 +61,7 @@ def _two_way(instance, make_pol, n, speed=1):
 
 
 def _policy(name, delta):
-    return lambda incremental: make_policy(name, delta, incremental=incremental)
+    return lambda: make_policy(name, delta)
 
 
 class TestRegistry:
@@ -87,7 +87,7 @@ class TestRegistry:
             result_digest(
                 simulate(
                     inst,
-                    make_policy("dlru-edf", 4, incremental=e != "reference"),
+                    make_policy("dlru-edf", 4),
                     n=8,
                     engine=e,
                 )
@@ -166,7 +166,7 @@ class TestSpeedAndColors:
         inst = rate_limited_workload(num_colors=10, horizon=160, delta=4, seed=4)
         _two_way(
             inst,
-            lambda incremental: SeqEDFPolicy(4, incremental=incremental),
+            lambda: SeqEDFPolicy(4),
             n=8,
             speed=2,
         )
@@ -182,9 +182,7 @@ class TestSpeedAndColors:
         inst = bursty_workload(num_colors=10, horizon=160, delta=4, seed=1)
         _two_way(
             inst,
-            lambda incremental: DeltaLRUEDFPolicy(
-                4, lru_fraction=0.35, incremental=incremental
-            ),
+            lambda: DeltaLRUEDFPolicy(4, lru_fraction=0.35),
             n=12,
         )
 
@@ -202,7 +200,7 @@ instance = string_relabel(
 )
 out = {}
 for engine in ENGINES:
-    policy = make_policy("dlru-edf", 4, incremental=engine != "reference")
+    policy = make_policy("dlru-edf", 4)
     out[engine] = result_digest(
         make_simulator(instance, policy, 16, engine=engine).run()
     )

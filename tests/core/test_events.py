@@ -115,7 +115,7 @@ class TestRoundTrip:
         )
         sim = make_simulator(
             instance,
-            make_policy("dlru-edf", instance.delta, incremental=engine != "reference"),
+            make_policy("dlru-edf", instance.delta),
             4,
             engine=engine,
             speed=speed,
@@ -185,7 +185,7 @@ class TestRoundTrip:
         instance = pinned_instance("int")
         sim = make_simulator(
             instance,
-            make_policy("edf", instance.delta, incremental=engine != "reference"),
+            make_policy("edf", instance.delta),
             4,
             engine=engine,
             speed=2,

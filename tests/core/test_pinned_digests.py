@@ -96,7 +96,7 @@ def engine_digests(palette: str, policy: str, speed: int, engine: str) -> str:
     instance = pinned_instance(palette)
     sim = make_simulator(
         instance,
-        make_policy(policy, DELTA, incremental=engine != "reference"),
+        make_policy(policy, DELTA),
         N,
         engine=engine,
         speed=speed,
@@ -119,9 +119,7 @@ def session_digests(load: str, shards: int, speed: int, engine: str) -> list[str
     session = ShardedSession(
         n=16,
         delta=delta,
-        policy_factory=lambda: make_policy(
-            "dlru-edf", delta, incremental=engine != "reference"
-        ),
+        policy_factory=lambda: make_policy("dlru-edf", delta),
         shards=shards,
         speed=speed,
         engine=engine,

@@ -160,8 +160,8 @@ class TestRoundViews:
         ]
         inst = Instance(RequestSequence(jobs), delta=2)
         sim = Simulator(
-            inst, make_policy("edf", 2, incremental=incremental), n=2,
-            speed=speed, incremental=incremental,
+            inst, make_policy("edf", 2), n=2, speed=speed,
+            incremental=incremental,
         )
         seen = {"drops": 0, "executions": 0, "recolors": 0}
         for rnd in range(inst.horizon):

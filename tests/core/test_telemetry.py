@@ -436,11 +436,12 @@ class TestTelemetryNeverChangesResults:
 
     @staticmethod
     def _run(instance, engine="incremental", record_events=True):
-        policy = DeltaLRUEDFPolicy(
-            instance.delta, incremental=engine != "reference"
-        )
         return make_simulator(
-            instance, policy, 16, engine=engine, record_events=record_events
+            instance,
+            DeltaLRUEDFPolicy(instance.delta),
+            16,
+            engine=engine,
+            record_events=record_events,
         ).run()
 
     @pytest.mark.parametrize("incremental", [True, False])

@@ -64,8 +64,9 @@ class TestSolve:
 
         def spy(simulate):
             def run(instance, policy, **kwargs):
+                result = simulate(instance, policy, **kwargs)
                 seen.add((kwargs["engine"], policy.incremental))
-                return simulate(instance, policy, **kwargs)
+                return result
             return run
 
         monkeypatch.setattr(cli, "simulate", spy(cli.simulate))

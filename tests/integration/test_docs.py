@@ -3,8 +3,8 @@
 Extract and execute the Python code blocks in README.md and docs/model.md —
 documentation that drifts from the API should fail CI, not readers.  Also
 smoke-runs the fastest examples in-process, and checks that every
-``repro`` subcommand, subcommand option and ``BENCH_*.json`` artifact the
-docs name exists.
+``repro`` subcommand, subcommand option and ``BENCH_*.json`` artifact that
+README.md, DESIGN.md, EXPERIMENTS.md or docs/ names exists.
 """
 
 import argparse
@@ -17,7 +17,12 @@ import pytest
 from repro.cli import _build_parser
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
-DOCS = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
+DOCS = [
+    ROOT / "README.md",
+    ROOT / "DESIGN.md",
+    ROOT / "EXPERIMENTS.md",
+    *sorted((ROOT / "docs").glob("*.md")),
+]
 
 #: ``repro <cmd>`` at the start of a line or of inline code, including
 #: pipe-separated lists such as ``repro list | experiment | all``.

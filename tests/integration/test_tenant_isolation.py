@@ -64,9 +64,7 @@ def run_session(engine, contracts, batches, only_colors=None):
     session = ShardedSession(
         n=16,
         delta=DELTA,
-        policy_factory=lambda: make_policy(
-            "dlru-edf", DELTA, incremental=engine != "reference"
-        ),
+        policy_factory=lambda: make_policy("dlru-edf", DELTA),
         shards=SHARDS,
         engine=engine,
     )

@@ -90,11 +90,7 @@ class TestOptIsALowerBound:
             for policy_name in POLICIES:
                 run = simulate(
                     instance,
-                    make_policy(
-                        policy_name,
-                        instance.delta,
-                        incremental=engine != "reference",
-                    ),
+                    make_policy(policy_name, instance.delta),
                     n=4,
                     record_events=False,
                     engine=engine,

@@ -2,10 +2,10 @@
 
 Each test builds one instance (job uids come from a process-global counter,
 so both engines must see the *same* ``Instance``) and runs it through both
-``incremental=True`` and ``incremental=False``.  The ledger, the schedule,
-the event log, and the executed/dropped uid sets must match exactly — this
-is the contract that makes the incremental engine a drop-in replacement
-for the reference oracle.
+engines, each with a fresh policy that follows its simulator's engine.
+The ledger, the schedule, the event log, and the executed/dropped uid sets
+must match exactly — this is the contract that makes the incremental
+engine a drop-in replacement for the reference oracle.
 """
 
 import pytest
@@ -22,14 +22,8 @@ from tests.core.hashseed import string_relabel
 
 
 def _assert_equivalent(instance, make_policy, n, speed=1):
-    ref = simulate(
-        instance, make_policy(incremental=False), n=n, speed=speed,
-        incremental=False,
-    )
-    inc = simulate(
-        instance, make_policy(incremental=True), n=n, speed=speed,
-        incremental=True,
-    )
+    ref = simulate(instance, make_policy(), n=n, speed=speed, incremental=False)
+    inc = simulate(instance, make_policy(), n=n, speed=speed, incremental=True)
     assert inc.ledger.summary() == ref.ledger.summary()
     assert inc.schedule.to_json() == ref.schedule.to_json()
     assert [repr(e) for e in inc.events] == [repr(e) for e in ref.events]
@@ -41,20 +35,13 @@ def _assert_equivalent(instance, make_policy, n, speed=1):
 @pytest.mark.parametrize("seed", [0, 3, 11])
 def test_dlru_edf_equivalent(seed):
     inst = rate_limited_workload(num_colors=12, horizon=192, delta=4, seed=seed)
-    _assert_equivalent(
-        inst, lambda incremental: DeltaLRUEDFPolicy(4, incremental=incremental),
-        n=8,
-    )
+    _assert_equivalent(inst, lambda: DeltaLRUEDFPolicy(4), n=8)
 
 
 def test_dlru_edf_uneven_split_equivalent():
     inst = bursty_workload(num_colors=10, horizon=192, delta=4, seed=1)
     _assert_equivalent(
-        inst,
-        lambda incremental: DeltaLRUEDFPolicy(
-            4, lru_fraction=0.35, incremental=incremental
-        ),
-        n=12,
+        inst, lambda: DeltaLRUEDFPolicy(4, lru_fraction=0.35), n=12
     )
 
 
@@ -75,8 +62,8 @@ def _lru_reads(monkeypatch, policies) -> list[str]:
 
 
 def _recording_dlru_edf(policies, delta, **kwargs):
-    def make(incremental):
-        policy = DeltaLRUEDFPolicy(delta, incremental=incremental, **kwargs)
+    def make():
+        policy = DeltaLRUEDFPolicy(delta, **kwargs)
         policies.append(policy)
         return policy
 
@@ -125,27 +112,19 @@ def test_dlru_edf_regime_switch_equivalent(monkeypatch, n, lru_fraction, switche
 @pytest.mark.parametrize("seed", [0, 7])
 def test_edf_equivalent(seed):
     inst = rate_limited_workload(num_colors=10, horizon=192, delta=4, seed=seed)
-    _assert_equivalent(
-        inst, lambda incremental: EDFPolicy(4, incremental=incremental), n=8
-    )
+    _assert_equivalent(inst, lambda: EDFPolicy(4), n=8)
 
 
 def test_seq_edf_speed2_equivalent():
     # DS-Seq-EDF: speed=2 exercises the mini-round path on both engines.
     inst = rate_limited_workload(num_colors=10, horizon=160, delta=4, seed=2)
-    _assert_equivalent(
-        inst, lambda incremental: SeqEDFPolicy(4, incremental=incremental),
-        n=8, speed=2,
-    )
+    _assert_equivalent(inst, lambda: SeqEDFPolicy(4), n=8, speed=2)
 
 
 @pytest.mark.parametrize("seed", [0, 5])
 def test_dlru_equivalent(seed):
     inst = datacenter_workload(num_services=8, horizon=256, delta=8, seed=seed)
-    _assert_equivalent(
-        inst, lambda incremental: DeltaLRUPolicy(8, incremental=incremental),
-        n=8,
-    )
+    _assert_equivalent(inst, lambda: DeltaLRUPolicy(8), n=8)
 
 
 def test_string_colors_equivalent():
@@ -154,7 +133,4 @@ def test_string_colors_equivalent():
     inst = string_relabel(
         rate_limited_workload(num_colors=12, horizon=160, delta=4, seed=4)
     )
-    _assert_equivalent(
-        inst, lambda incremental: DeltaLRUEDFPolicy(4, incremental=incremental),
-        n=8,
-    )
+    _assert_equivalent(inst, lambda: DeltaLRUEDFPolicy(4), n=8)

@@ -77,6 +77,9 @@ class TestServeSmoke:
         # replay covers at least the requested arrival rounds.
         assert report["rounds"] >= 96
         assert report["params"]["shards"] == 2
+        assert report["jobs_per_second"] > 0
+        assert report["latency_ms"]["p99"] >= report["latency_ms"]["p50"]
+        assert not [key for key in report if key.startswith("tick_latency_")]
 
     def test_sigterm_hangs_up_idle_clients(self, tmp_path):
         """A client parked on the socket gets EOF when the server is

@@ -111,11 +111,10 @@ class TestLiveReplayDeterminism:
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("speed", [1, 2])
     def test_digest_matches_offline_run(self, engine, speed):
-        incremental = engine != "reference"
         instance = poisson_workload(delta=4, seed=11, horizon=96)
         offline = make_simulator(
             instance,
-            make_policy("dlru-edf", 4, incremental=incremental),
+            make_policy("dlru-edf", 4),
             8,
             engine=engine,
             speed=speed,
@@ -124,7 +123,7 @@ class TestLiveReplayDeterminism:
         live = LiveSequence()
         sim = make_simulator(
             live.as_instance(4),
-            make_policy("dlru-edf", 4, incremental=incremental),
+            make_policy("dlru-edf", 4),
             8,
             engine=engine,
             speed=speed,
@@ -148,9 +147,7 @@ class TestLiveReplayDeterminism:
             live = LiveSequence()
             sim = make_simulator(
                 live.as_instance(4),
-                make_policy(
-                    "dlru-edf", 4, incremental=engine != "reference"
-                ),
+                make_policy("dlru-edf", 4),
                 8,
                 engine=engine,
                 speed=speed,

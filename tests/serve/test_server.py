@@ -19,7 +19,11 @@ from repro.core.job import Job
 from repro.policies import make_policy
 from repro.serve.loadgen import _replay
 from repro.serve.protocol import decode_frame, encode_frame
-from repro.serve.server import SchedulingServer, ServeConfig
+from repro.serve.server import (
+    SUBSCRIBER_BUFFER_LIMIT,
+    SchedulingServer,
+    ServeConfig,
+)
 from repro.workloads import poisson_workload
 
 
@@ -339,7 +343,7 @@ class TestServerDeterminism:
         instance = poisson_workload(delta=4, seed=23, horizon=80)
         offline = Simulator(
             instance,
-            make_policy("dlru-edf", 4, incremental=incremental),
+            make_policy("dlru-edf", 4),
             n=8,
             speed=speed,
             incremental=incremental,
@@ -505,7 +509,7 @@ class _StubWriter:
 class TestSubscriberBackpressure:
     def test_broadcast_drops_subscribers_over_the_buffer_limit(self):
         async def test(server, conn):
-            slow = _StubWriter(buffered=512)
+            slow = _StubWriter(buffered=SUBSCRIBER_BUFFER_LIMIT + 1)
             fast = _StubWriter(buffered=0)
             server._subscribers = [slow, fast]
             server._broadcast({"type": "result", "round": 0})
@@ -521,7 +525,7 @@ class TestSubscriberBackpressure:
             assert counters["repro_serve_subscribers_dropped_total"][""] == 1
             server._subscribers = []
 
-        with_server(test, subscriber_buffer_limit=256)
+        with_server(test)
 
 
 class TestHttpHeaderCap:
