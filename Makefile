@@ -1,15 +1,12 @@
 # Common development targets.
 
-.PHONY: install test bench opt-bench experiments experiments-full experiments-md docs-check all
+.PHONY: install test opt-bench experiments experiments-full experiments-md docs-check all
 
 install:
 	pip install -e . || python setup.py develop
 
 test:
 	pytest tests/
-
-bench:
-	pytest benchmarks/ --benchmark-only
 
 # Competitive-ratio dashboard: exact offline OPT vs every online policy.
 opt-bench:
@@ -21,11 +18,11 @@ experiments:
 experiments-full:
 	python -m repro.cli all --scale full
 
-# Regenerate EXPERIMENTS.md from a full-scale run (takes a few minutes).
+# Regenerate EXPERIMENTS.md from a full-scale run (about 25 s on a 2-CPU host).
 experiments-md:
 	python -m repro.experiments.writer
 
 docs-check:
 	pytest tests/integration/test_docs.py
 
-all: test bench experiments
+all: test experiments

@@ -28,7 +28,6 @@ from repro.experiments.runner import resolve_jobs, run_parallel
 from repro.policies import POLICY_FACTORIES, make_policy
 from repro.reductions.pipeline import solve_online
 from repro.workloads import (
-    background_shortterm_instance,
     batched_workload,
     bursty_workload,
     datacenter_workload,
@@ -138,9 +137,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--timeline", action="store_true",
                          help="print an ASCII timeline of the schedule")
     p_solve.add_argument("--telemetry", default=None, metavar="OUT_JSONL",
-                         help="record a structured run trace (JSONL, schema "
-                         "repro-trace-v1) plus metrics to this path; never "
-                         "changes the solution")
+                         help="record the run as a span trace (JSONL, schema "
+                         "repro-trace-v2: a run root, one span per round, a "
+                         "summary; render with 'repro spans') to this path; "
+                         "never changes the solution")
 
     p_trace = sub.add_parser(
         "trace", help="generate a workload and save it as a reusable trace file"
@@ -152,8 +152,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--out", required=True, help="output trace path")
     p_trace.add_argument("--telemetry", default=None, metavar="OUT_JSONL",
                          help="additionally run the recommended solver on the "
-                         "saved workload with telemetry on and write the "
-                         "structured round-by-round run trace (JSONL) here")
+                         "saved workload with telemetry on and write its "
+                         "span trace (JSONL, repro-trace-v2) here")
 
     p_verify = sub.add_parser(
         "verify",
@@ -227,8 +227,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            "http://HOST:PORT/metrics from 'repro serve') and "
                            "render it instead of running anything")
     p_metrics.add_argument("--telemetry", default=None, metavar="OUT_JSONL",
-                           help="also write the structured run trace (JSONL) "
-                           "to this path")
+                           help="also write the run's span trace (JSONL, "
+                           "repro-trace-v2) to this path")
 
     p_serve = sub.add_parser(
         "serve",
@@ -340,10 +340,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_spans = sub.add_parser(
         "spans",
-        help="render request-scoped span traces (repro-trace-v2, from "
-        "'repro serve --spans') as per-request trees",
+        help="render span traces (repro-trace-v2, from 'repro serve "
+        "--spans' or a run's --telemetry) as trees",
     )
-    p_spans.add_argument("file", help="span JSONL written by 'repro serve --spans'")
+    p_spans.add_argument("file", help="span JSONL written by 'repro serve "
+                         "--spans' or by --telemetry")
     p_spans.add_argument("--trace", default=None, metavar="TRACE_ID",
                          help="render only this trace (e.g. t000003)")
     p_spans.add_argument("--limit", type=int, default=None, metavar="N",

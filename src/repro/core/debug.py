@@ -14,8 +14,8 @@ Example output::
       ledger:  drops=2 (cost 2), reconfigs=2 (cost 8)
 
 The ``ledger`` line draws its numbers from
-:func:`repro.telemetry.trace.ledger_round_delta` — the same helper the
-structured round-trace records use — so narration and traces can never
+:meth:`repro.core.ledger.CostLedger.round_delta` — the same helper the
+run trace's ``round`` spans use — so narration and traces can never
 disagree about per-round costs.
 """
 
@@ -27,12 +27,10 @@ from typing import Iterable
 from repro.core.events import (
     ArrivalEvent,
     DropEvent,
-    EventLog,
     ExecutionEvent,
     ReconfigEvent,
 )
 from repro.core.simulator import SimulationResult
-from repro.telemetry.trace import ledger_round_delta
 
 
 def narrate(
@@ -56,7 +54,7 @@ def narrate(
             continue
         lines.append(f"== round {rnd} ==")
         lines.extend(_narrate_round(events))
-        delta = ledger_round_delta(result.ledger, rnd)
+        delta = result.ledger.round_delta(rnd)
         if delta["drops"] or delta["reconfigs"]:
             lines.append(
                 f"  ledger:  drops={delta['drops']} "

@@ -77,6 +77,22 @@ class CostLedger:
         out.drops_per_round = self.drops_per_round + other.drops_per_round
         return out
 
+    def round_delta(self, rnd: int) -> dict[str, int]:
+        """Round ``rnd``'s drops and reconfigurations with their costs.
+
+        The one source for the run trace's ``round`` spans and for
+        :func:`repro.core.debug.narrate`'s ``ledger:`` lines, so the two
+        can never disagree about per-round costs.
+        """
+        drops = self.drops_per_round.get(rnd, 0)
+        reconfigs = self.reconfigs_per_round.get(rnd, 0)
+        return {
+            "drops": drops,
+            "drop_cost": drops,
+            "reconfigs": reconfigs,
+            "reconfig_cost": reconfigs * self.delta,
+        }
+
     def summary(self) -> dict[str, int]:
         return {
             "reconfig_count": self.reconfig_count,

@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from repro.core.request import Instance, RequestSequence
+from repro.core.request import Instance
 
 
 class BatchField(Enum):

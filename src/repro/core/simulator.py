@@ -29,7 +29,6 @@ from repro.core.pending import PendingStore
 from repro.core.request import Instance, Request, RequestSequence
 from repro.core.resources import ResourceBank
 from repro.core.schedule import Schedule
-from repro.telemetry import TRACE_SCHEMA, ledger_round_delta
 from repro.telemetry.recorder import Recorder, get_recorder
 
 
@@ -120,7 +119,8 @@ class Simulator:
         A :class:`~repro.telemetry.Recorder`.  Defaults to the
         process-global recorder (a no-op ``NullRecorder`` unless telemetry
         was switched on).  Recorders only *observe* the run — enabling
-        telemetry never changes the ledger, schedule, or event log.
+        telemetry never changes the ledger, schedule, or event log.  A
+        recorder's span writer gets one ``run`` tree per :meth:`run`.
     """
 
     def __init__(
@@ -160,6 +160,8 @@ class Simulator:
         self.last_dropped: list[Job] = []
         self.last_executed: list[tuple[int, Job]] = []
         self.last_recolored = 0
+        #: the run trace's id, minted by the recorder's span writer.
+        self._trace: str | None = None
         policy.bind(self)
 
     # -- state views for policies ------------------------------------------------
@@ -179,23 +181,21 @@ class Simulator:
     def run(self, horizon: int | None = None) -> SimulationResult:
         """Simulate rounds ``0 .. horizon-1`` (default: the sequence horizon)."""
         limit = self.sequence.horizon if horizon is None else horizon
-        telem = self.telemetry
-        if telem.tracing:
-            telem.emit({
-                "kind": "header",
-                "schema": TRACE_SCHEMA,
-                "instance": self.instance.name,
-                "n": self.n,
-                "speed": self.speed,
-                "delta": self.delta,
-                "engine": "incremental" if self.incremental else "reference",
-                "policy": type(self.policy).__name__,
-                "horizon": limit,
-            })
+        spans = self.telemetry.spans
+        if spans is not None:
+            self._trace = trace = spans.new_trace()
+            spans.span(
+                trace, "run", instance=self.instance.name, n=self.n,
+                speed=self.speed, delta=self.delta,
+                engine="incremental" if self.incremental else "reference",
+                policy=type(self.policy).__name__, horizon=limit,
+            )
         for rnd in range(limit):
             self.step(rnd)
-        if telem.tracing:
-            telem.emit({"kind": "summary", **self.ledger.summary()})
+        if spans is not None:
+            spans.span(
+                trace, "summary", parent=f"{trace}/run", **self.ledger.summary()
+            )
         return SimulationResult(
             instance=self.instance,
             n=self.n,
@@ -303,17 +303,18 @@ class Simulator:
             telem.observe("repro_phase_seconds", reconfig_s, phase="reconfig")
             telem.observe("repro_phase_seconds", execute_s, phase="execute")
             telem.gauge("repro_pending_jobs", pending_size)
-            if telem.tracing:
-                telem.emit({
-                    "kind": "round",
-                    "round": rnd,
-                    "mini_rounds": self.speed,
-                    "arrivals": len(request),
-                    "executions": num_execs,
-                    "recolored": recolored,
-                    "pending": pending_size,
-                    "ledger": ledger_round_delta(self.ledger, rnd),
-                })
+            spans = telem.spans
+            if spans is not None:
+                if self._trace is None:
+                    self._trace = spans.new_trace()
+                trace = self._trace
+                spans.span(
+                    trace, "round", parent=f"{trace}/run",
+                    span_id=f"{trace}/round/{rnd}", round=rnd,
+                    mini_rounds=self.speed, arrivals=len(request),
+                    executions=num_execs, recolored=recolored,
+                    pending=pending_size, **self.ledger.round_delta(rnd),
+                )
 
 
 def simulate(

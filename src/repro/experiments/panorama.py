@@ -30,7 +30,6 @@ from repro.workloads.generators import (
     rate_limited_workload,
 )
 from repro.workloads.scenarios import (
-    background_shortterm_instance,
     datacenter_workload,
     router_workload,
 )

@@ -4,7 +4,7 @@
   either thrash (classic LRU, greedy) or underutilize (static partition);
   the paper's stack does neither.
 - **E12**: simulator throughput (rounds and jobs per second) on large
-  workloads; the pytest-benchmark harness wraps :func:`throughput_run`.
+  workloads, timed by :func:`throughput_run`.
 """
 
 from __future__ import annotations

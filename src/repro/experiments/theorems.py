@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import statistics
 
-from repro.analysis.competitive import empirical_ratio_bracket, empirical_ratio_exact
+from repro.analysis.competitive import empirical_ratio_bracket
 from repro.analysis.reporting import Table
 from repro.experiments.common import ExperimentResult, pick
 from repro.reductions.pipeline import solve_batched, solve_online, solve_rate_limited

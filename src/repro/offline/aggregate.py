@@ -31,9 +31,9 @@ arbitrary free slots of the block.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.core.job import BLACK, Color, Job, color_sort_key
+from repro.core.job import BLACK, Color, color_sort_key
 from repro.core.request import RequestSequence
 from repro.core.schedule import Schedule
 

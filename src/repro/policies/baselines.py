@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from repro.core.job import Color, Job, color_sort_key
+from repro.core.job import Color, color_sort_key
 from repro.core.request import Request
 from repro.core.simulator import Policy
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.ledger import CostLedger
-from repro.core.request import Instance, RequestSequence
+from repro.core.request import Instance
 from repro.core.schedule import Schedule
 from repro.core.simulator import SimulationResult, simulate
 from repro.policies.dlru_edf import DeltaLRUEDFPolicy

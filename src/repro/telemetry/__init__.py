@@ -1,4 +1,4 @@
-"""Process-local telemetry: metrics registry, run traces, recorders.
+"""Process-local telemetry: metrics registry, span traces, recorders.
 
 The paper's cost model is about *where* cost accrues — drops versus
 ``Delta``-reconfigurations, round by round — yet until this layer existed
@@ -7,8 +7,9 @@ the reproduction could only report end-of-run ledger totals.
 
 - :class:`~repro.telemetry.registry.MetricsRegistry` — counters, gauges,
   and fixed-bucket histograms, labelled, mergeable across processes;
-- :class:`~repro.telemetry.trace.TraceWriter` — a structured JSONL run
-  trace (schema ``repro-trace-v1``), one record per round;
+- :class:`~repro.telemetry.spans.SpanWriter` — the JSONL span trace
+  (schema ``repro-trace-v2``) of a run (a ``run`` root, one ``round``
+  span per round, a ``summary``) or of a server's requests;
 - :class:`TelemetryRecorder` — the live recorder the engine layers talk
   to; :class:`NullRecorder` — the default, whose every method is a no-op.
 
@@ -60,7 +61,6 @@ from repro.telemetry.spans import (
     read_spans,
     render_traces,
 )
-from repro.telemetry.trace import TRACE_SCHEMA, TraceWriter, ledger_round_delta
 
 __all__ = [
     "DEFAULT_BUCKETS",
@@ -69,14 +69,11 @@ __all__ = [
     "Recorder",
     "SPAN_SCHEMA",
     "SpanWriter",
-    "TRACE_SCHEMA",
     "TelemetryRecorder",
-    "TraceWriter",
     "build_traces",
     "exact_quantile",
     "get_recorder",
     "histogram_quantile",
-    "ledger_round_delta",
     "merge_snapshots",
     "normalize_span",
     "parse_prometheus",

@@ -1,11 +1,13 @@
 """Recorders: the narrow interface the engine layers talk to.
 
 The engine (simulator, resource bank, pending store, policies, runner)
-never imports the registry or the trace writer directly; it calls the
-four-method recorder API — :meth:`count`, :meth:`gauge`, :meth:`observe`,
-:meth:`emit` — on whatever recorder is active, and guards every call site
-with the ``enabled`` / ``tracing`` attributes so a disabled run costs one
-attribute read per site.
+never imports the registry directly; it calls the three-method recorder
+API — :meth:`count`, :meth:`gauge`, :meth:`observe` — on whatever
+recorder is active, and guards every call site with the ``enabled``
+attribute so a disabled run costs one attribute read per site.  A
+recorder given a trace sink also holds a
+:class:`~repro.telemetry.spans.SpanWriter` in ``spans``, onto which the
+simulator writes its run trace.
 
 :class:`NullRecorder` is the process default: every method is a no-op and
 ``enabled`` is False.  :class:`TelemetryRecorder` is the live one.  The
@@ -17,10 +19,10 @@ their own and ship snapshots home by value.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import IO, Iterator, Mapping
+from typing import IO, Iterator
 
 from repro.telemetry.registry import MetricsRegistry
-from repro.telemetry.trace import TraceWriter
+from repro.telemetry.spans import SpanWriter
 
 
 class NullRecorder:
@@ -30,8 +32,8 @@ class NullRecorder:
 
     #: instrumentation sites check this before doing any work.
     enabled: bool = False
-    #: round-trace emission is additionally gated on this.
-    tracing: bool = False
+    #: the run-trace sink; None unless a live recorder was given one.
+    spans: SpanWriter | None = None
 
     def count(self, name: str, value: int | float = 1, **labels: object) -> None:
         """Increment a counter (no-op here)."""
@@ -41,9 +43,6 @@ class NullRecorder:
 
     def observe(self, name: str, value: float, **labels: object) -> None:
         """Record a histogram observation (no-op here)."""
-
-    def emit(self, record: Mapping) -> None:
-        """Write a trace record (no-op here)."""
 
     def snapshot(self) -> dict:
         """Metrics snapshot (empty here)."""
@@ -60,26 +59,19 @@ class Recorder(NullRecorder):
 
 
 class TelemetryRecorder(Recorder):
-    """A live recorder: a metrics registry plus an optional JSONL trace."""
+    """A live recorder: a metrics registry plus an optional span trace."""
 
-    __slots__ = ("registry", "writer")
+    __slots__ = ("registry", "spans")
 
     enabled = True
 
     def __init__(
         self,
         registry: MetricsRegistry | None = None,
-        trace: str | IO[str] | TraceWriter | None = None,
+        trace: str | IO[str] | None = None,
     ):
         self.registry = registry if registry is not None else MetricsRegistry()
-        if trace is None or isinstance(trace, TraceWriter):
-            self.writer = trace
-        else:
-            self.writer = TraceWriter(trace)
-
-    @property
-    def tracing(self) -> bool:  # type: ignore[override]
-        return self.writer is not None
+        self.spans = SpanWriter(trace) if trace is not None else None
 
     def count(self, name: str, value: int | float = 1, **labels: object) -> None:
         self.registry.count(name, value, **labels)
@@ -90,16 +82,12 @@ class TelemetryRecorder(Recorder):
     def observe(self, name: str, value: float, **labels: object) -> None:
         self.registry.observe(name, value, **labels)
 
-    def emit(self, record: Mapping) -> None:
-        if self.writer is not None:
-            self.writer.emit(record)
-
     def snapshot(self) -> dict:
         return self.registry.snapshot()
 
     def close(self) -> None:
-        if self.writer is not None:
-            self.writer.close()
+        if self.spans is not None:
+            self.spans.close()
 
 
 #: the process-global active recorder; Null unless somebody opted in.

@@ -1,27 +1,31 @@
-"""Request-scoped span tracing for the serve stack (``repro-trace-v2``).
+"""Span traces (``repro-trace-v2``), the one trace format.
 
-A *span* records one step of a submitted batch's life: the submit itself
-(the root), per-shard admission votes, the WAL intent and commit markers,
-the cross-worker commit, and finally the execution or drop of each job.
-Spans form a tree per ``trace_id``; :func:`build_traces` reconstructs it
-and :func:`render_trace` pretty-prints the timeline ``repro spans`` shows.
+A *span* records one step; spans form a tree per ``trace_id``.  Two
+sources write them:
 
-**Determinism contract (the PR-3 rule, extended).**  Span *identity* and
-*coordinates* are purely deterministic: trace ids are minted from the
-server's submit sequence (``t000001``, ...), span ids derive from the
-trace id plus the step name, and positions are expressed as monotonic
-round/sequence coordinates the digest-stable core already produces.
-Wall-clock durations appear only as a ``wall_ms`` annotation — two runs
-of the same workload differ *only* in ``wall_ms`` values, and
-:func:`normalize_span` strips them so golden tests can pin everything
-else byte-for-byte.  Emitting spans never feeds back into scheduling:
-the digest-equality test runs every engine with tracing on and off and
-demands identical ledger/schedule/event digests.
+- ``repro serve --spans``: one tree per submitted batch — the submit
+  itself (the root), per-shard admission votes, the WAL intent and
+  commit markers, the cross-worker commit, and the execution or drop of
+  each job;
+- a run traced with ``--telemetry``: one tree per
+  :meth:`~repro.core.simulator.Simulator.run` — a ``run`` root with the
+  engine parameters, one ``round`` child per round (its counters and
+  ledger delta) and a ``summary`` child mirroring ``ledger.summary()``.
+
+:func:`build_traces` reconstructs the trees and :func:`render_trace`
+pretty-prints the timeline ``repro spans`` shows.
+
+**Determinism contract.**  Trace ids come from a counter (``t000001``,
+...), span ids derive from the trace id plus the step name, and
+positions are round/sequence coordinates the digest-stable core already
+produces.  Wall-clock durations appear only as a serve span's
+``wall_ms`` annotation, which :func:`normalize_span` strips, so golden
+tests pin everything else byte-for-byte; run spans carry none, so two
+traces of one run are byte-identical.  Emitting spans never feeds back
+into scheduling.
 
 File format: one JSON object per line.  The first record is a ``header``
 with ``schema: repro-trace-v2``; every following record is a ``span``.
-The v2 schema is a sibling of the v1 round-trace, not a replacement —
-round traces describe *rounds*, spans describe *requests*.
 """
 
 from __future__ import annotations
@@ -30,14 +34,14 @@ import json
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping
 
-from repro.telemetry.trace import TraceWriter
+from repro.utils.jsonl import json_line
 
 SPAN_SCHEMA = "repro-trace-v2"
 
 #: canonical step names, in lifecycle order (used for child sorting).
 SPAN_NAMES = (
     "submit", "admit", "wal.intent", "wal.commit", "commit",
-    "execute", "drop", "reject",
+    "execute", "drop", "reject", "run", "round", "summary",
 )
 _NAME_ORDER = {name: i for i, name in enumerate(SPAN_NAMES)}
 
@@ -54,28 +58,36 @@ __all__ = [
 
 
 def mint_trace_id(seq: int) -> str:
-    """The deterministic trace id for submit sequence ``seq``."""
+    """The deterministic trace id for sequence number ``seq``."""
     return f"t{seq:06d}"
 
 
 class SpanWriter:
-    """Writes a ``repro-trace-v2`` span stream onto a :class:`TraceWriter`.
+    """Writes a ``repro-trace-v2`` stream: a header, then span records.
 
-    The header is written eagerly at construction so even an empty run
-    produces a self-describing file.
+    Given a path, the writer opens the file and closes it on
+    :meth:`close`; given an open stream, it flushes the stream and leaves
+    it open.  Records are buffered, not flushed per span.  The header is
+    written eagerly at construction so even an empty run produces a
+    self-describing file.
     """
 
-    def __init__(self, destination: str | IO[str] | TraceWriter, **header: object):
-        if isinstance(destination, TraceWriter):
-            self._writer = destination
+    def __init__(self, destination: str | IO[str], **header: object):
+        if hasattr(destination, "write"):
+            self._fh: IO[str] = destination  # type: ignore[assignment]
+            self._owns = False
         else:
-            self._writer = TraceWriter(destination)
-        self.spans_written = 0
-        self._writer.emit({"kind": "header", "schema": SPAN_SCHEMA, **header})
+            self._fh = open(destination, "w", encoding="utf-8")
+            self._owns = True
+        self._traces = 0
+        self._fh.write(
+            json_line({"kind": "header", "schema": SPAN_SCHEMA, **header})
+        )
 
-    @property
-    def path(self) -> str | None:
-        return self._writer.path
+    def new_trace(self) -> str:
+        """Mint this writer's next trace id (``t000001``, ``t000002``, ...)."""
+        self._traces += 1
+        return mint_trace_id(self._traces)
 
     def span(
         self,
@@ -112,12 +124,14 @@ class SpanWriter:
             record["attrs"] = dict(sorted(attrs.items()))
         if wall_ms is not None:
             record["wall_ms"] = round_wall(wall_ms)
-        self._writer.emit(record)
-        self.spans_written += 1
+        self._fh.write(json_line(record))
         return span_id
 
     def close(self) -> None:
-        self._writer.close()
+        if self._owns:
+            self._fh.close()
+        else:
+            self._fh.flush()
 
     def __enter__(self) -> "SpanWriter":
         return self
@@ -143,10 +157,8 @@ def normalize_span(record: Mapping) -> dict:
 def read_spans(source: str | Path | Iterable[str]) -> tuple[dict | None, list[dict]]:
     """Read a span file (or iterable of lines) -> ``(header, spans)``.
 
-    Records that are not v2 spans (e.g. interleaved v1 round records when
-    both sinks share one file) are skipped, so a combined trace file still
-    reads cleanly.  A torn final line — the crash case — is ignored, same
-    as the journal reader's convention.
+    Lines that are not v2 records are skipped, and a torn final line —
+    the crash case — is ignored, same as the journal reader's convention.
     """
     if isinstance(source, (str, Path)):
         lines: Iterator[str] = iter(

@@ -1,8 +1,8 @@
 """Small dependency-free utilities shared across subsystems.
 
-- :mod:`repro.utils.jsonl` — the one JSONL encoder, fsync-append
-  journal writer, and torn-tail-tolerant reader used by the telemetry
-  trace writer and the serve session journal.
+- :mod:`repro.utils.jsonl` — the one JSONL encoder (shared by the span
+  trace writer and the serve session journal), the fsync-append journal
+  writer and its torn-tail-tolerant reader.
 - :mod:`repro.utils.procs` — pipe-driven child processes and
   deterministic retry backoff for the serve layer's shard workers.
 """

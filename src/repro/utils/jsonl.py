@@ -1,15 +1,14 @@
 """JSONL encoding and crash-safe append journals.
 
-Two subsystems write newline-delimited JSON with the same durability
-story — the telemetry trace writer (:mod:`repro.telemetry.trace`) and
-the serve session journal (:mod:`repro.serve.server`).  This module is
-the single implementation they share:
-
 - :func:`json_line` — the canonical one-record encoding (sorted keys,
   ``default=str``, trailing newline), so every JSONL artifact in the
-  repo is diffable with every other;
-- :class:`JsonlJournal` — the append journal for long-lived writers
-  (one fsync per record without re-opening the file each time).
+  repo is diffable with every other.  The span trace writer
+  (:mod:`repro.telemetry.spans`) and the serve session journal both
+  encode with it;
+- :class:`JsonlJournal` — the serve journal's append writer (one fsync
+  per record without re-opening the file each time).  The span writer
+  does not use it: it stays buffered, since a flush per span would add
+  a write per executed job.
 """
 
 from __future__ import annotations

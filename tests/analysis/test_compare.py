@@ -1,6 +1,6 @@
 """Unit tests for the policy comparison helper."""
 
-from repro.analysis.compare import Comparison, compare_policies, standard_policy_set
+from repro.analysis.compare import compare_policies, standard_policy_set
 from repro.policies.dlru_edf import DeltaLRUEDFPolicy
 from repro.policies.baselines import GreedyUtilizationPolicy
 from repro.workloads.generators import rate_limited_workload

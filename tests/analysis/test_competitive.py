@@ -7,7 +7,6 @@ from repro.analysis.competitive import (
     empirical_ratio_bracket,
     empirical_ratio_exact,
 )
-from repro.core.job import Job
 from repro.core.request import Instance, RequestSequence
 from repro.workloads.generators import rate_limited_workload, uniform_workload
 

@@ -10,7 +10,6 @@ from repro.analysis.series import (
 )
 from repro.core.job import Job
 from repro.core.ledger import CostLedger
-from repro.core.request import Instance, RequestSequence
 from repro.core.simulator import simulate
 from repro.policies.dlru_edf import DeltaLRUEDFPolicy
 from repro.workloads.generators import rate_limited_workload

@@ -2,7 +2,7 @@
 
 from repro.analysis.timeline import render_timeline, timeline_stats
 from repro.core.job import Job
-from repro.core.request import Instance, RequestSequence
+from repro.core.request import RequestSequence
 from repro.core.schedule import Schedule
 from repro.core.simulator import simulate
 from repro.policies.dlru_edf import DeltaLRUEDFPolicy

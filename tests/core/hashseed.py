@@ -24,7 +24,7 @@ from repro.core.job import Job
 from repro.core.request import Instance, RequestSequence
 from repro.core.simulator import Simulator
 from repro.policies.dlru_edf import DeltaLRUEDFPolicy
-from repro.telemetry import TelemetryRecorder, TraceWriter
+from repro.telemetry import TelemetryRecorder
 from repro.workloads.generators import rate_limited_workload
 
 #: PYTHONHASHSEED values for the cross-process legs (≥3 distinct seeds,
@@ -71,7 +71,7 @@ def hashseed_digests() -> dict[str, str]:
         policy = DeltaLRUEDFPolicy(instance.delta)
         result = make_simulator(instance, policy, 16, engine=engine).run()
         out[engine] = result_digest(result)
-    recorder = TelemetryRecorder(trace=TraceWriter(io.StringIO()))
+    recorder = TelemetryRecorder(trace=io.StringIO())
     result = Simulator(
         instance,
         DeltaLRUEDFPolicy(instance.delta),

@@ -111,14 +111,12 @@ class TestNarrateGolden:
         assert text == self.GOLDEN
 
     def test_ledger_lines_match_trace_deltas(self):
-        from repro.telemetry.trace import ledger_round_delta
-
         jobs = [J(0, 0, 2), J(0, 0, 2), J(0, 0, 2)]
         inst = Instance(RequestSequence(jobs), delta=3)
         run = simulate(inst, SeqEDFPolicy(3), n=1, record_events=True)
         text = narrate(run)
         for rnd in range(run.instance.horizon):
-            delta = ledger_round_delta(run.ledger, rnd)
+            delta = run.ledger.round_delta(rnd)
             line = (
                 f"ledger:  drops={delta['drops']} "
                 f"(cost {delta['drop_cost']}), "

@@ -1,4 +1,4 @@
-"""Unit tests for the telemetry layer (registry, recorder, trace, prom).
+"""Unit tests for the telemetry layer (registry, recorder, spans, prom).
 
 The load-bearing guarantees:
 
@@ -201,14 +201,13 @@ class TestRecorders:
         rec = get_recorder()
         assert isinstance(rec, NullRecorder)
         assert not rec.enabled
-        assert not rec.tracing
+        assert rec.spans is None
 
     def test_null_recorder_methods_are_noops(self):
         rec = NullRecorder()
         rec.count("x")
         rec.gauge("x", 1)
         rec.observe("x", 1)
-        rec.emit({"kind": "round"})
         rec.close()
         assert rec.snapshot() == {}
 
@@ -235,39 +234,53 @@ class TestRecorders:
         assert not get_recorder().enabled
 
     def test_tracing_only_with_writer(self):
-        assert not TelemetryRecorder().tracing
-        assert TelemetryRecorder(trace=io.StringIO()).tracing
+        assert TelemetryRecorder().spans is None
+        assert isinstance(
+            TelemetryRecorder(trace=io.StringIO()).spans, tele.SpanWriter
+        )
 
     def test_recorder_routes_to_registry_and_writer(self):
         buf = io.StringIO()
         rec = TelemetryRecorder(trace=buf)
         rec.count("hits_total")
-        rec.emit({"kind": "round", "round": 0})
+        rec.spans.span("t000001", "run", n=4)
         rec.close()
         assert rec.snapshot()["counters"]["hits_total"][""] == 1
-        assert json.loads(buf.getvalue()) == {"kind": "round", "round": 0}
+        header, spans = tele.read_spans(buf.getvalue().splitlines())
+        assert header == {"kind": "header", "schema": tele.SPAN_SCHEMA}
+        assert spans == [{"kind": "span", "trace": "t000001",
+                          "id": "t000001/run", "name": "run",
+                          "attrs": {"n": 4}}]
 
 
-class TestTraceWriter:
+class TestSpanWriter:
     def test_emits_sorted_json_lines(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        with tele.TraceWriter(str(path)) as writer:
-            writer.header(instance="demo")
-            writer.emit({"b": 2, "a": 1, "kind": "round"})
+        with tele.SpanWriter(str(path), instance="demo") as writer:
+            writer.span("t000001", "round", round=0, b=2, a=1)
         lines = path.read_text().splitlines()
         assert len(lines) == 2
-        header = json.loads(lines[0])
-        assert header["kind"] == "header"
-        assert header["schema"] == tele.TRACE_SCHEMA
-        assert lines[1] == '{"a": 1, "b": 2, "kind": "round"}'
+        assert lines[0] == (
+            '{"instance": "demo", "kind": "header", "schema": "repro-trace-v2"}'
+        )
+        assert lines[1] == (
+            '{"attrs": {"a": 1, "b": 2}, "id": "t000001/round", '
+            '"kind": "span", "name": "round", "round": 0, "trace": "t000001"}'
+        )
 
     def test_stream_destination_not_closed(self):
         buf = io.StringIO()
-        writer = tele.TraceWriter(buf)
-        writer.emit({"kind": "summary"})
+        writer = tele.SpanWriter(buf)
+        writer.span("t000001", "summary")
         writer.close()
         assert not buf.closed
-        assert writer.records_written == 1
+        assert len(buf.getvalue().splitlines()) == 2
+
+    def test_new_trace_counts_per_writer(self):
+        first = tele.SpanWriter(io.StringIO())
+        second = tele.SpanWriter(io.StringIO())
+        assert [first.new_trace(), first.new_trace()] == ["t000001", "t000002"]
+        assert second.new_trace() == "t000001"
 
 
 PROM_COMMENT = re.compile(r"^# (HELP|TYPE) [a-zA-Z_:][a-zA-Z0-9_:]* .+$")
@@ -465,7 +478,50 @@ class TestTelemetryNeverChangesResults:
                 self._run(instance, record_events=False)
             texts.append(buf.getvalue())
         assert texts[0] == texts[1]
-        kinds = [json.loads(l)["kind"] for l in texts[0].splitlines()]
-        assert kinds[0] == "header"
-        assert kinds[-1] == "summary"
-        assert kinds.count("round") > 0
+        header, spans = tele.read_spans(texts[0].splitlines())
+        assert header["schema"] == tele.SPAN_SCHEMA
+        names = [span["name"] for span in spans]
+        assert names == ["run"] + ["round"] * instance.horizon + ["summary"]
+        assert all("wall_ms" not in span for span in spans)
+
+    def test_run_trace_is_one_tree_with_the_ledger_in_it(self):
+        instance = _quick_datacenter()
+        buf = io.StringIO()
+        with tele.recording(TelemetryRecorder(trace=buf)):
+            result = self._run(instance, record_events=False)
+        _, spans = tele.read_spans(buf.getvalue().splitlines())
+        (tree,) = tele.build_traces(spans).values()
+        root = tree["root"]
+        assert root["attrs"] == {
+            "delta": instance.delta, "engine": "incremental",
+            "horizon": instance.horizon, "instance": instance.name, "n": 16,
+            "policy": "DeltaLRUEDFPolicy", "speed": 1,
+        }
+        rounds, summary = spans[1:-1], spans[-1]
+        assert tree["children"][root["id"]] == [s["id"] for s in spans[1:]]
+        assert [s["round"] for s in rounds] == list(range(instance.horizon))
+        for span in rounds:
+            attrs = span["attrs"]
+            assert attrs["mini_rounds"] == 1
+            assert {k: attrs[k] for k in
+                    ("drops", "drop_cost", "reconfigs", "reconfig_cost")} == (
+                result.ledger.round_delta(span["round"])
+            )
+        assert sum(s["attrs"]["executions"] for s in rounds) == len(
+            result.executed_uids
+        )
+        assert summary["attrs"] == result.ledger.summary()
+
+    def test_stepped_simulator_mints_its_trace_at_the_first_step(self):
+        instance = _quick_datacenter()
+        buf = io.StringIO()
+        sim = make_simulator(
+            instance, DeltaLRUEDFPolicy(instance.delta), 16,
+            telemetry=TelemetryRecorder(trace=buf),
+        )
+        sim.step(0)
+        sim.step(1)
+        _, spans = tele.read_spans(buf.getvalue().splitlines())
+        assert [(s["trace"], s["name"], s["round"]) for s in spans] == [
+            ("t000001", "round", 0), ("t000001", "round", 1),
+        ]

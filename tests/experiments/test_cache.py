@@ -7,11 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 from repro import __version__
 from repro.experiments.cache import (
-    CACHE_FORMAT,
     ResultCache,
     cache_key,
     default_cache_dir,

@@ -344,7 +344,7 @@ class TestMetricsCommand:
         assert main(self.ARGS + ["--telemetry", str(trace)]) == 0
         lines = [json.loads(l) for l in trace.read_text().splitlines()]
         assert lines[0]["kind"] == "header"
-        assert lines[-1]["kind"] == "summary"
+        assert lines[-1]["name"] == "summary"
 
     def test_renders_saved_runner_stats(self, tmp_path, capsys):
         import json
@@ -404,8 +404,40 @@ class TestTelemetryFlags:
         out = capsys.readouterr().out
         assert "total_cost=" in out
         records = [json.loads(l) for l in run_trace.read_text().splitlines()]
-        assert records[0]["schema"] == "repro-trace-v1"
-        assert any(r["kind"] == "round" for r in records)
+        assert records[0]["schema"] == "repro-trace-v2"
+        assert any(r.get("name") == "round" for r in records)
+
+    def test_solve_telemetry_is_one_deterministic_span_tree(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import WORKLOADS
+        from repro.core.simulator import simulate
+        from repro.policies import make_policy
+        from repro.telemetry import read_spans
+
+        argv = ["solve", "--workload", "datacenter", "--horizon", "256",
+                "--policy", "dlru-edf", "--telemetry"]
+        first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        assert main(argv + [str(first)]) == 0
+        assert main(argv + [str(second)]) == 0
+        assert first.read_bytes() == second.read_bytes()
+        header, spans = read_spans(first)
+        assert header == {"kind": "header", "schema": "repro-trace-v2"}
+        instance = WORKLOADS["datacenter"](delta=4, seed=0, horizon=256)
+        rounds = instance.horizon  # the workload's last deadline, past 256
+        assert [s["name"] for s in spans] == (
+            ["run"] + ["round"] * rounds + ["summary"]
+        )
+        assert {s["trace"] for s in spans} == {"t000001"}
+        run = simulate(instance, make_policy("dlru-edf", 4), n=16,
+                       record_events=False)
+        assert spans[-1]["attrs"] == run.ledger.summary()
+        capsys.readouterr()
+        assert main(["spans", str(first)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("trace t000001\n└─ run  ")
+        assert out.count("trace ") == 1
+        assert out.count("round=") == rounds
 
 
 class TestEveryPolicyChoice:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.reporting import Table
-from repro.experiments.common import Check, ExperimentResult, pick
+from repro.experiments.common import ExperimentResult, pick
 
 
 def make_result():

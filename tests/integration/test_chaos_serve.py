@@ -19,8 +19,6 @@ import time
 import urllib.request
 from pathlib import Path
 
-import pytest
-
 REPO = Path(__file__).resolve().parents[2]
 
 KILL_PLAN = json.dumps({

@@ -3,8 +3,9 @@
 Extract and execute the Python code blocks in README.md and docs/model.md —
 documentation that drifts from the API should fail CI, not readers.  Also
 smoke-runs the fastest examples in-process, and checks that every
-``repro`` subcommand, subcommand option and ``BENCH_*.json`` artifact that
-README.md, DESIGN.md, EXPERIMENTS.md or docs/ names exists.
+``repro`` subcommand, subcommand option, ``BENCH_*.json`` artifact and
+backticked source file that README.md, DESIGN.md, EXPERIMENTS.md or docs/
+names exists.
 """
 
 import argparse
@@ -31,6 +32,13 @@ COMMAND = re.compile(r"(?:^[ \t]*|`)repro ([a-z][\w-]*(?: \| [a-z][\w-]*)*)",
 ARTIFACT = re.compile(r"BENCH_\w+\.json")
 #: a long option such as ``--stats-out``, not the tail of ``a--b``.
 FLAG = re.compile(r"(?<![\w-])--[a-z][\w-]*")
+#: inline code, not a code fence.
+INLINE_CODE = re.compile(r"(?<!`)`([^`\n]+)`(?!`)")
+#: a repo source path; a ``::test`` or ``:line`` suffix is not part of it.
+SOURCE_PATH = re.compile(
+    r"(?<![\w/.-])((?:src|tests|benchmarks|perfbench|examples)/[\w/.-]*\.py)"
+    r"(?![\w/.-])"
+)
 
 
 def named_flags() -> list[tuple[str, str, str]]:
@@ -128,6 +136,17 @@ class TestDocsNameLiveSurfaces:
             if entry[1] not in sub.choices
             or entry[2] not in sub.choices[entry[1]]._option_string_actions
         }
+        assert not missing, sorted(missing)
+
+    def test_named_source_files_exist(self):
+        named = {
+            (doc.name, path)
+            for doc in DOCS
+            for code in INLINE_CODE.findall(doc.read_text())
+            for path in SOURCE_PATH.findall(code)
+        }
+        assert len(named) > 50, "the path pattern stopped matching the docs"
+        missing = {entry for entry in named if not (ROOT / entry[1]).exists()}
         assert not missing, sorted(missing)
 
     def test_named_artifacts_exist(self):

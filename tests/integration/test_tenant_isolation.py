@@ -22,7 +22,7 @@ from repro.serve.journal import commit_record, round_record, submit_record, tena
 from repro.utils.jsonl import JsonlJournal
 from repro.serve.loadgen import _replay
 from repro.serve.server import SchedulingServer, ServeConfig
-from repro.serve.session import ShardedSession, shard_of
+from repro.serve.session import ShardedSession
 from repro.serve.tenants import TenantContract
 from repro.serve.workers import WorkerShardedSession
 from repro.workloads import tenant_flood_instance, tenant_flood_plan

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.job import Job
-from repro.core.request import Instance, RequestSequence
+from repro.core.request import RequestSequence
 from repro.core.schedule import Schedule, validate_schedule
 from repro.opt import solve_opt
 from repro.offline.punctual import (

@@ -1,7 +1,6 @@
 """Unit tests for the paper's ranking schemes."""
 
 from repro.core.job import Job
-from repro.core.request import Request
 from repro.policies.ranking import eligible_color_rank_key, job_rank_key
 from repro.policies.state import SectionThreeState
 

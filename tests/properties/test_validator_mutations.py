@@ -12,12 +12,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core.job import Job
 from repro.core.request import Instance, RequestSequence
 from repro.core.schedule import (
     Execution,
     Reconfiguration,
-    Schedule,
     ScheduleError,
     validate_schedule,
 )

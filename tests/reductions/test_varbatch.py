@@ -1,7 +1,5 @@
 """Unit tests for Algorithm VarBatch (Sections 5.1, 5.3)."""
 
-import pytest
-
 from repro.core.job import Job
 from repro.core.request import Instance, RequestSequence
 from repro.core.schedule import validate_schedule

@@ -16,7 +16,6 @@ import pytest
 
 from repro.core.job import Job
 from repro.serve.server import SchedulingServer, ServeConfig
-from repro.serve.workers import WorkerShardedSession
 from repro.telemetry import parse_prometheus, render_prometheus
 from repro.telemetry.registry import parse_label_key
 

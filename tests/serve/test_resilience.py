@@ -11,9 +11,8 @@ import asyncio
 import pytest
 
 from repro.serve.loadgen import LoadgenError, _connect_with_retry
-from repro.serve.protocol import encode_frame
 
-from tests.serve.test_server import Conn, wire_job, with_server
+from tests.serve.test_server import wire_job, with_server
 
 
 class TestConnectRetry:

@@ -15,7 +15,6 @@ import tempfile
 import pytest
 
 from repro.core import Simulator, result_digests
-from repro.core.job import Job
 from repro.policies import make_policy
 from repro.serve.loadgen import _replay
 from repro.serve.protocol import decode_frame, encode_frame

@@ -39,7 +39,6 @@ class TestShardOf:
     def test_distinguishes_types(self):
         # "1" and 1 are different colors and may land on different shards;
         # the hash must at least frame them differently.
-        import hashlib
         labels = {f"{type(c).__name__}:{c!r}" for c in (1, "1")}
         assert len(labels) == 2
 

@@ -13,9 +13,7 @@ Three contracts:
 """
 
 import asyncio
-import json
 
-from repro.core.job import Job
 from repro.serve.loadgen import _replay
 from repro.serve.server import SchedulingServer, ServeConfig
 from repro.serve.protocol import decode_frame, encode_frame

@@ -10,7 +10,6 @@ The two invariants this suite pins down:
   and digests are byte-identical to a tenant-free build.
 """
 
-import asyncio
 import json
 from fractions import Fraction
 
@@ -27,7 +26,7 @@ from repro.serve.tenants import (
     shard_shares,
 )
 
-from tests.serve.test_server import Conn, wire_job, with_server
+from tests.serve.test_server import wire_job, with_server
 
 
 def contract(**kw):
