@@ -17,34 +17,41 @@ The store additionally maintains a cached nonidle-color set, updated on
 every add/pop/drop instead of rescanning the pools, plus a consumable
 *idle-flip* feed: the set of colors whose idleness changed since the last
 query.  The incremental policies use the feed to keep their rankings in
-sync without polling every color each round.
+sync without polling every color each round.  A *due queue* of pool heads
+lets the drop phase visit only the pools that may have a job due instead
+of walking every pool.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.core.job import Color, Job, color_sort_key
 from repro.telemetry.recorder import Recorder, get_recorder
 
-#: Signature of the idle-transition listener a pool reports to.
-IdleListener = Callable[[Color, bool], None]
-
 
 class PendingPool:
-    """Deadline-ordered pool of pending jobs of a single color."""
+    """Deadline-ordered pool of pending jobs of a single color.
 
-    __slots__ = ("color", "_heap", "_done", "_live", "_members", "_listener")
+    A pool made by a :class:`PendingStore` reports to it: its idle
+    transitions, and every new heap head (which the store queues for the
+    drop phase).  ``index`` is the pool's creation index in that store.
+    """
 
-    def __init__(self, color: Color, listener: IdleListener | None = None):
+    __slots__ = ("color", "index", "_heap", "_done", "_live", "_members", "_store")
+
+    def __init__(
+        self, color: Color, store: PendingStore | None = None, index: int = 0
+    ):
         self.color = color
+        self.index = index
         self._heap: list[tuple] = []
         self._done: set[int] = set()
         #: uids currently pending (heap entries minus lazily-removed ones).
         self._members: set[int] = set()
         self._live = 0
-        self._listener = listener
+        self._store = store
 
     def add(self, job: Job) -> None:
         color = job.color
@@ -52,14 +59,17 @@ class PendingPool:
             raise ValueError(f"job color {color!r} != pool color {self.color!r}")
         bound = job.delay_bound
         uid = job.uid
-        heapq.heappush(
-            self._heap,
-            (job.arrival + bound, bound, color_sort_key(color), uid, job),
-        )
+        heap = self._heap
+        entry = (job.arrival + bound, bound, color_sort_key(color), uid, job)
+        heapq.heappush(heap, entry)
         self._members.add(uid)
         self._live += 1
-        if self._live == 1 and self._listener is not None:
-            self._listener(self.color, False)
+        store = self._store
+        if store is not None:
+            if self._live == 1:
+                store._on_idle_change(self.color, False)
+            if heap[0] is entry:
+                heapq.heappush(store._due, (entry[0], self.index, self.color))
 
     def __len__(self) -> int:
         return self._live
@@ -96,8 +106,8 @@ class PendingPool:
         job = heapq.heappop(self._heap)[4]
         self._members.discard(job.uid)
         self._live -= 1
-        if self._live == 0 and self._listener is not None:
-            self._listener(self.color, True)
+        if self._live == 0 and self._store is not None:
+            self._store._on_idle_change(self.color, True)
         return job
 
     def remove(self, job: Job) -> None:
@@ -116,8 +126,8 @@ class PendingPool:
         self._done.add(job.uid)
         self._members.discard(job.uid)
         self._live -= 1
-        if self._live == 0 and self._listener is not None:
-            self._listener(self.color, True)
+        if self._live == 0 and self._store is not None:
+            self._store._on_idle_change(self.color, True)
 
     def drop_expired(self, rnd: int) -> list[Job]:
         """Remove and return every pending job with deadline <= ``rnd``.
@@ -144,8 +154,8 @@ class PendingPool:
                 dropped.append(entry[4])
         if dropped:
             self._live -= len(dropped)
-            if self._live == 0 and self._listener is not None:
-                self._listener(self.color, True)
+            if self._live == 0 and self._store is not None:
+                self._store._on_idle_change(self.color, True)
         return dropped
 
     def pending_jobs(self) -> list[Job]:
@@ -162,12 +172,22 @@ class PendingStore:
     Maintains the nonidle-color set incrementally: every pool reports its
     idle transitions here, so :meth:`nonidle_colors`, :meth:`idle` and the
     :meth:`take_idle_flips` feed never rescan the pools.
+
+    The due queue is a min-heap of ``(head deadline, pool creation index,
+    color)`` entries.  Its invariant: every pool with heap entries has a
+    queued deadline no later than its heap head.  A pool queues itself when
+    an added job becomes its heap head (its first job, or an earlier
+    deadline than its pending ones); executions and lazy removals only move
+    the head later, so its entry stays valid; and the drop phase re-queues
+    the head of every pool it visits.  Entries can be stale (their job was
+    executed) or repeated, never missing.
     """
 
     def __init__(self, telemetry: Recorder | None = None) -> None:
         self._pools: dict[Color, PendingPool] = {}
         self._nonidle: set[Color] = set()
         self._idle_flips: set[Color] = set()
+        self._due: list[tuple[int, int, Color]] = []
         self.telemetry = telemetry if telemetry is not None else get_recorder()
 
     def _on_idle_change(self, color: Color, now_idle: bool) -> None:
@@ -180,7 +200,7 @@ class PendingStore:
     def pool(self, color: Color) -> PendingPool:
         pool = self._pools.get(color)
         if pool is None:
-            pool = self._pools[color] = PendingPool(color, self._on_idle_change)
+            pool = self._pools[color] = PendingPool(color, self, len(self._pools))
         return pool
 
     def add(self, job: Job) -> None:
@@ -226,22 +246,36 @@ class PendingStore:
     def drop_expired(self, rnd: int) -> list[Job]:
         """Drop every pending job whose deadline has been reached.
 
-        Only nonidle pools can hold droppable jobs, so the scan visits the
-        cached nonidle set in pool-creation order (the historical order).
-        A heap head holds its pool's earliest deadline, so a pool is called
-        only when its head is due or lazily removed: any other pool's call
-        would neither drop nor skim anything, and every heap ends the phase
-        as it did when each nonidle pool was called.
+        Pops every due-queue entry with deadline ``<= rnd`` (so sparse
+        driving stays correct) and visits those pools once each, in
+        creation order (the historical drop order).  A heap head holds its
+        pool's earliest deadline, so a visited pool is called only when its
+        head is due or lazily removed: any other call would neither drop
+        nor skim anything.  Each visited pool's new head is queued again.
         """
+        due = self._due
+        if not due or due[0][0] > rnd:
+            return []
+        pop = heapq.heappop
+        visit: dict[int, Color] = {}
+        while due and due[0][0] <= rnd:
+            _, index, color = pop(due)
+            visit[index] = color
         dropped: list[Job] = []
-        nonidle = self._nonidle
-        if not nonidle:
-            return dropped
-        for color, pool in self._pools.items():
-            if color in nonidle:
-                head = pool._heap[0]
-                if head[0] <= rnd or head[3] in pool._done:
-                    dropped.extend(pool.drop_expired(rnd))
+        pools = self._pools
+        push = heapq.heappush
+        for index in sorted(visit):
+            color = visit[index]
+            pool = pools[color]
+            heap = pool._heap
+            if not heap:
+                continue
+            head = heap[0]
+            if head[0] <= rnd or head[3] in pool._done:
+                dropped.extend(pool.drop_expired(rnd))
+                if not heap:
+                    continue
+            push(due, (heap[0][0], index, color))
         return dropped
 
     def execute_one(self, color: Color) -> Job | None:

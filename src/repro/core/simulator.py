@@ -77,6 +77,8 @@ class SimulationResult:
     executed_uids: set[int]
     dropped_uids: set[int]
     policy: Policy
+    #: the run's trace id when its recorder writes spans, else None.
+    trace: str | None = None
 
     @property
     def total_cost(self) -> int:
@@ -206,6 +208,7 @@ class Simulator:
             executed_uids=self.executed_uids,
             dropped_uids=self.dropped_uids,
             policy=self.policy,
+            trace=self._trace,
         )
 
     def step(self, rnd: int) -> None:

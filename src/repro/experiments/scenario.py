@@ -142,7 +142,7 @@ def run_e12(scale: str = "quick") -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="E12",
         title="Simulator throughput",
-        claim="the engine sustains laptop-scale workloads (>1k rounds/sec)",
+        claim="the engine sustains laptop-scale workloads (> 500 rounds/sec)",
         table=table,
         data=stats,
     )

@@ -13,9 +13,10 @@ underutilizes the resources (experiment E1 reproduces the construction).
 The default engine maintains the LRU order incrementally: a color's
 timestamp only changes at its delay-bound boundaries (wraps are recorded
 there too), and those rounds are exactly the ones the state hooks report as
-touched, so re-keying the touched colors keeps the maintained order equal
-to a full re-sort.  On the reference engine the policy keeps the
-historical per-round re-sort; both paths are bit-identical.
+touched, so marking the touched colors (the ranking keys them at that
+round when the order is read) keeps the maintained order equal to a full
+re-sort.  On the reference engine the policy keeps the historical
+per-round re-sort; both paths are bit-identical.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Iterable, Sequence
 from repro.core.job import Color, Job
 from repro.core.request import Request
 from repro.core.simulator import Policy
-from repro.policies.ranking import MaintainedRanking, lru_key_of
+from repro.policies.ranking import MaintainedRanking, lru_rank_key
 from repro.policies.state import SectionThreeState
 
 
@@ -34,7 +35,6 @@ class DeltaLRUPolicy(Policy):
 
     def __init__(self, delta: int, track_history: bool = False):
         self.state = SectionThreeState(delta, track_history=track_history)
-        self._ranking = MaintainedRanking()
         self._dirty: set[Color] = set()
         self._desired_cache: list[Color] | None = None
 
@@ -44,7 +44,7 @@ class DeltaLRUPolicy(Policy):
             raise ValueError(f"DeltaLRU requires an even number of resources, got {sim.n}")
         self.incremental = sim.incremental
         self.capacity = sim.n // 2
-        self._ranking.clear()
+        self._ranking = MaintainedRanking(lru_rank_key(self.state))
         self._dirty = set(self.state.states)
         self._desired_cache = None
 
@@ -83,15 +83,12 @@ class DeltaLRUPolicy(Policy):
                         policy="dlru",
                     )
                 states = self.state.states
-                updates: list[tuple[Color, tuple]] = []
-                removals: list[Color] = []
+                marked: list[Color] = []
+                removed: list[Color] = []
                 for color in self._dirty:
-                    st = states[color]
-                    if st.eligible:
-                        updates.append((color, lru_key_of(st, rnd)))
-                    else:
-                        removals.append(color)
-                self._ranking.apply(updates, removals)
+                    (marked if states[color].eligible else removed).append(color)
+                self._ranking.remove(removed)
+                self._ranking.mark(rnd, marked)
                 self._dirty = set()
             chosen = self._ranking.top(self.capacity)
         else:

@@ -26,14 +26,16 @@ The default engine maintains both rankings (LRU order and EDF order over
 the eligible colors) incrementally from the per-round deltas — boundary
 crossings, wraps and eligibility flips reported by the state hooks, plus
 idleness flips from the pending store's feed — instead of re-sorting every
-round, and reads them only where the decision can change.  The rankings
-sort their deltas in when read.  While the eligible colors fit in the LRU
-share, the LRU set is the rankings' membership and the EDF walk is not run
-(it would skip every color).  When the LRU and EDF sets equal the last
-emitted ones, the last emitted list itself is returned, which the resource
-bank takes as a no-op by identity.  On the reference engine the policy
-keeps the historical re-sort path; the two are bit-identical (enforced by
-the property and engine-equivalence suites).
+round.  It only marks the changed colors; the rankings key and sort them
+in when the decision reads an order.  While the eligible colors fit in the
+LRU share, the LRU set is the rankings' membership and the EDF walk is not
+run (it would skip every color), so no key is built at all; and when the
+membership is unchanged since the last emitted list, that list is
+returned without rebuilding the LRU set.  When the LRU and EDF sets equal
+the last emitted ones, the last emitted list itself is returned, which the
+resource bank takes as a no-op by identity.  On the reference engine the
+policy keeps the historical re-sort path; the two are bit-identical
+(enforced by the property and engine-equivalence suites).
 """
 
 from __future__ import annotations
@@ -46,9 +48,9 @@ from repro.core.request import Request
 from repro.core.simulator import Policy
 from repro.policies.ranking import (
     MaintainedRanking,
-    edf_key_of,
+    edf_rank_key,
     eligible_color_rank_key,
-    lru_key_of,
+    lru_rank_key,
 )
 from repro.policies.state import SectionThreeState
 
@@ -104,17 +106,15 @@ class DeltaLRUEDFPolicy(Policy):
         self.replication = replication
         #: colors currently held by the (stateful) EDF part of the cache.
         self.edf_cached: set[Color] = set()
-        #: colors currently held by the LRU part (recomputed every round).
+        #: colors currently held by the LRU part (recomputed when it can change).
         self.lru_set: set[Color] = set()
-        self._lru_ranking = MaintainedRanking()
-        self._edf_ranking = MaintainedRanking()
         self._dirty: set[Color] = set()
         self._desired_cache: list[Color] | None = None
-        #: the LRU and EDF sets ``_desired_cache`` was emitted from.
+        #: the LRU and EDF sets ``_desired_cache`` was emitted from, and the
+        #: LRU ranking's membership version when it was last confirmed.
         self._emitted_lru: set[Color] = set()
         self._emitted_edf: set[Color] = set()
-        #: memoized sort keys of every ranked color (C-level emission sort).
-        self._csk: dict[Color, tuple] = {}
+        self._emitted_version = -1
 
     def bind(self, sim) -> None:
         super().bind(sim)
@@ -136,8 +136,10 @@ class DeltaLRUEDFPolicy(Policy):
         self.lru_capacity = int(distinct * self._lru_share)
         self.edf_top = distinct - self.lru_capacity
         self.incremental = sim.incremental
-        self._lru_ranking.clear()
-        self._edf_ranking.clear()
+        self._lru_ranking = MaintainedRanking(lru_rank_key(self.state))
+        self._edf_ranking = MaintainedRanking(
+            edf_rank_key(self.state, sim.pending.idle)
+        )
         self._dirty = set(self.state.states)
         self._desired_cache = None
 
@@ -153,38 +155,28 @@ class DeltaLRUEDFPolicy(Policy):
 
     # -- reconfiguration ----------------------------------------------------------
 
-    def _refresh_rankings(self, rnd: int, flips: set[Color]) -> None:
-        """Fold the accumulated per-round deltas into both rankings.
+    def _mark_changes(self, rnd: int, flips: set[Color]) -> None:
+        """Mark the accumulated per-round deltas in both rankings.
 
         ``flips`` are idleness changes: they re-key only the EDF ranking
         (the LRU key does not mention idleness), while state-hook deltas
-        (``self._dirty``) re-key both.
+        (``self._dirty``) re-key both.  No key is computed here.
         """
         dirty = self._dirty
         states = self.state.states
-        idle = self.sim.pending.idle
-        lru_updates: list[tuple[Color, tuple]] = []
-        edf_updates: list[tuple[Color, tuple]] = []
-        removals: list[Color] = []
-        csk_map = self._csk
+        marked: list[Color] = []
+        removed: list[Color] = []
         for color in dirty:
             st = states.get(color)
-            if st is None:
-                continue
-            if st.eligible:
-                csk_map[color] = st.csk
-                lru_updates.append((color, lru_key_of(st, rnd)))
-                edf_updates.append((color, edf_key_of(st, idle(color))))
-            else:
-                removals.append(color)
-        for color in flips - dirty:
-            st = states.get(color)
-            if st is None or not st.eligible:
-                continue
-            csk_map[color] = st.csk
-            edf_updates.append((color, edf_key_of(st, idle(color))))
-        self._lru_ranking.apply(lru_updates, removals)
-        self._edf_ranking.apply(edf_updates, removals)
+            if st is not None:
+                (marked if st.eligible else removed).append(color)
+        for ranking in (self._lru_ranking, self._edf_ranking):
+            ranking.remove(removed)
+            ranking.mark(rnd, marked)
+        self._edf_ranking.mark(
+            rnd,
+            [c for c in flips - dirty if c in states and states[c].eligible],
+        )
         self._dirty = set()
 
     def desired_configuration(self, rnd: int, mini: int) -> Iterable[Color]:
@@ -212,13 +204,23 @@ class DeltaLRUEDFPolicy(Policy):
                     len(self._dirty | flips),
                     policy="dlru_edf",
                 )
-            self._refresh_rankings(rnd, flips)
+            self._mark_changes(rnd, flips)
 
         # Step 1: the DeltaLRU scheme on the LRU share of the capacity.  Both
         # rankings hold exactly the eligible colors; when they all fit in
-        # the LRU share, membership alone is the LRU set.
+        # the LRU share, membership alone is the LRU set, every eligible
+        # color is in it and the EDF part is empty.  Unchanged membership
+        # since the last confirmed list then means the same two sets.
         lru = self._lru_ranking
-        if len(lru) <= self.lru_capacity:
+        fits = len(lru) <= self.lru_capacity
+        if (
+            fits
+            and lru.version == self._emitted_version
+            and not self.edf_cached
+            and self._desired_cache is not None
+        ):
+            return self._desired_cache
+        if fits:
             lru_set = set(lru.members())
         else:
             lru_set = set(lru.top(self.lru_capacity))
@@ -266,6 +268,7 @@ class DeltaLRUEDFPolicy(Policy):
         # The emitted list is a function of the two sets alone: when both
         # equal the last emitted ones, hand back that very list, which the
         # bank recognises by identity as already satisfied.
+        self._emitted_version = lru.version
         desired = self._desired_cache
         if (
             desired is not None
@@ -276,7 +279,7 @@ class DeltaLRUEDFPolicy(Policy):
         self._emitted_lru = lru_set
         self._emitted_edf = set(edf_cached)
         self._desired_cache = desired = self._emit(
-            lru_set, edf_cached, self._csk.__getitem__
+            lru_set, edf_cached, self.state.csk
         )
         return desired
 
@@ -314,8 +317,8 @@ class DeltaLRUEDFPolicy(Policy):
         # Emit both halves in the consistent color order: iterating the raw
         # sets here would leak PYTHONHASHSEED into the desired-multiset order
         # and therefore into location assignment, events, and schedules.
-        # ``key`` lets the incremental engine substitute its memoized
-        # per-color keys; the order is identical.
+        # ``key`` lets the incremental engine sort by the states' memoized
+        # keys; the order is identical.
         chosen = sorted(lru_set, key=key) + sorted(edf_cached, key=key)
         if self.replication:
             desired: list[Color] = []

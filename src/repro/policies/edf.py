@@ -13,11 +13,12 @@ Seq-EDF is the same scheme with all ``m`` locations used for distinct colors
 (no replication); DS-Seq-EDF is Seq-EDF run at ``speed=2``.
 
 The default engine keeps the ranking as a :class:`MaintainedRanking`
-updated from the per-round deltas (boundary crossings, wraps, eligibility
+marked with the per-round deltas (boundary crossings, wraps, eligibility
 flips from the state hooks; idleness flips from the pending store's feed)
-instead of re-sorting every eligible color each round.  On the reference
-engine the policy runs the historical full re-sort — both paths are
-bit-identical, which the property and engine-equivalence suites enforce.
+and keyed when read, instead of re-sorting every eligible color each
+round.  On the reference engine the policy runs the historical full
+re-sort — both paths are bit-identical, which the property and
+engine-equivalence suites enforce.
 
 Appendix B shows EDF thrashes (reconfigures every time a short-delay color
 alternates between idle and nonidle) and is not resource competitive;
@@ -33,7 +34,7 @@ from repro.core.request import Request
 from repro.core.simulator import Policy
 from repro.policies.ranking import (
     MaintainedRanking,
-    edf_key_of,
+    edf_rank_key,
     eligible_color_rank_key,
 )
 from repro.policies.state import SectionThreeState
@@ -54,11 +55,8 @@ class EDFPolicy(Policy):
         )
         self.replication = replication
         self.cached: set[Color] = set()
-        self._ranking = MaintainedRanking()
         self._dirty: set[Color] = set()
         self._desired_cache: list[Color] | None = None
-        #: memoized sort keys of every ranked color (C-level emission sort).
-        self._csk: dict[Color, tuple] = {}
 
     def bind(self, sim) -> None:
         super().bind(sim)
@@ -72,7 +70,9 @@ class EDFPolicy(Policy):
         # Rebinding to a fresh simulator invalidates the maintained order
         # (idleness lives in the simulator's pending store): rebuild lazily
         # from every known color.
-        self._ranking.clear()
+        self._ranking = MaintainedRanking(
+            edf_rank_key(self.state, sim.pending.idle)
+        )
         self._dirty = set(self.state.states)
         self._desired_cache = None
 
@@ -95,26 +95,17 @@ class EDFPolicy(Policy):
 
     # -- reconfiguration ----------------------------------------------------------
 
-    def _refresh_ranking(self) -> None:
-        """Fold the accumulated deltas into the maintained ranking."""
-        dirty = self._dirty
-        if not dirty:
-            return
+    def _mark_changes(self, rnd: int) -> None:
+        """Mark the accumulated deltas in the maintained ranking."""
         states = self.state.states
-        idle = self.sim.pending.idle
-        updates: list[tuple[Color, tuple]] = []
-        removals: list[Color] = []
-        csk_map = self._csk
-        for color in dirty:
+        marked: list[Color] = []
+        removed: list[Color] = []
+        for color in self._dirty:
             st = states.get(color)
-            if st is None:
-                continue
-            if st.eligible:
-                csk_map[color] = st.csk
-                updates.append((color, edf_key_of(st, idle(color))))
-            else:
-                removals.append(color)
-        self._ranking.apply(updates, removals)
+            if st is not None:
+                (marked if st.eligible else removed).append(color)
+        self._ranking.remove(removed)
+        self._ranking.mark(rnd, marked)
         self._dirty = set()
 
     def desired_configuration(self, rnd: int, mini: int) -> Iterable[Color]:
@@ -134,7 +125,7 @@ class EDFPolicy(Policy):
             telem.observe(
                 "repro_ranking_dirty_size", len(self._dirty), policy="edf"
             )
-        self._refresh_ranking()
+        self._mark_changes(rnd)
         cached = self.cached
         is_idle = self.sim.is_idle
         for color in self._ranking.top(self.capacity):
@@ -151,7 +142,7 @@ class EDFPolicy(Policy):
                     if len(kept) == self.capacity:
                         break
             self.cached = cached = kept
-        self._desired_cache = desired = self._emit(cached, self._csk.__getitem__)
+        self._desired_cache = desired = self._emit(cached, self.state.csk)
         return desired
 
     def _desired_resort(self) -> list[Color]:
@@ -170,7 +161,7 @@ class EDFPolicy(Policy):
         # Emit in the consistent color order: iterating the raw set here
         # would leak PYTHONHASHSEED into the desired-multiset order and so
         # into location assignment, events, and schedules.  ``key`` lets the
-        # incremental engine substitute its memoized per-color keys.
+        # incremental engine sort by the states' memoized keys.
         ordered = sorted(cached, key=key)
         if self.replication:
             desired: list[Color] = []

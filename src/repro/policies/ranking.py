@@ -10,22 +10,22 @@ Lower keys mean better (higher) rank throughout.
 
 :class:`MaintainedRanking` keeps such an order *persistent* between rounds:
 instead of re-sorting every eligible color each reconfiguration phase, the
-incremental policies push per-round deltas (arrivals, wraps, eligibility
-flips, idleness flips) into the structure, which sorts them in only when
-the order is next read.  Because every rank key ends in the consistent
-color order, keys are unique per color and the maintained order is
-exactly ``sorted(colors, key=...)`` — bit-identical to a full re-sort,
-which the policies' reference-engine paths and the property suite
+incremental policies mark the colors whose rank inputs changed (arrivals,
+wraps, eligibility flips, idleness flips), and the structure keys and sorts
+them in only when the order is next read.  Because every rank key ends in
+the consistent color order, keys are unique per color and the maintained
+order is exactly ``sorted(colors, key=...)`` — bit-identical to a full
+re-sort, which the policies' reference-engine paths and the property suite
 enforce.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Callable, Iterable, KeysView
+from typing import Callable, Iterable
 
 from repro.core.job import Color, Job, color_sort_key
-from repro.policies.state import ColorState, SectionThreeState
+from repro.policies.state import SectionThreeState
 
 
 def eligible_color_rank_key(
@@ -55,27 +55,49 @@ def job_rank_key(job: Job) -> tuple:
     return job.sort_key()
 
 
-def edf_key_of(st: ColorState, idle: bool) -> tuple:
-    """The EDF rank key from explicit components (no predicate calls)."""
-    return (1 if idle else 0, st.dd, st.delay_bound, st.csk)
+def edf_rank_key(
+    state: SectionThreeState, idle: Callable[[Color], bool]
+) -> Callable[[Color, int], tuple]:
+    """The EDF rank key of a marked color, as :class:`MaintainedRanking`
+    calls it (the mark round does not enter the EDF key)."""
+    states = state.states
+
+    def key(color: Color, rnd: int) -> tuple:
+        st = states[color]
+        return (1 if idle(color) else 0, st.dd, st.delay_bound, st.csk)
+
+    return key
 
 
-def lru_key_of(st: ColorState, rnd: int) -> tuple:
-    """The DeltaLRU rank key: most recent timestamp first, color order ties."""
-    return (-st.timestamp(rnd), st.csk)
+def lru_rank_key(state: SectionThreeState) -> Callable[[Color, int], tuple]:
+    """The DeltaLRU rank key at the round a color was marked: most recent
+    timestamp first, color order ties."""
+    states = state.states
+
+    def key(color: Color, rnd: int) -> tuple:
+        st = states[color]
+        return (-st.timestamp(rnd), st.csk)
+
+    return key
 
 
 class MaintainedRanking:
-    """A sorted ``(key, color)`` sequence that settles its order on read.
+    """A sorted color sequence that keys and settles its changes on read.
 
+    ``key(color, rnd)`` is a color's rank key as marked in round ``rnd``.
     Keys must be unique per color (every paper ranking ends in the
-    consistent color order, so they are).  :meth:`apply` only records the
-    new keys; :meth:`top` and :meth:`ordered` settle every change recorded
-    since the last read and then return exactly what
-    ``sorted(members, key=...)`` would.  A ranking that is updated every
-    round but read rarely pays for its changes once, at the read, and a
-    color re-keyed several times between reads moves once.
-    :meth:`members`, ``len`` and ``in`` read the current membership without
+    consistent color order, so they are).  :meth:`mark` records which
+    colors joined or changed, with the round, and :meth:`remove` which
+    left; neither computes a key.  :meth:`top` and :meth:`ordered` settle
+    every change recorded since the last read, keying each changed color
+    once at the round of its latest mark, and then return exactly what
+    ``sorted(members, key=...)`` would.  The policies mark a color in
+    every round that can change its key (a delay-bound boundary, an
+    eligibility change, an idleness flip), so a key computed at the read
+    equals the one computed when the color was marked.  A ranking that is
+    marked every round but read rarely pays for its changes once, at the
+    read, and keys nothing if it is never read.  :meth:`members`, ``len``,
+    ``in`` and :attr:`version` read the current membership without
     settling.
 
     Settling moves each changed color with one bisect plus a C-level list
@@ -84,74 +106,87 @@ class MaintainedRanking:
     re-sort.
     """
 
-    __slots__ = ("_keys", "_colors", "_key_of", "_moved")
+    __slots__ = ("_key", "_keys", "_colors", "_settled", "_members", "_moved", "version")
 
-    def __init__(self) -> None:
+    def __init__(self, key: Callable[[Color, int], tuple]) -> None:
+        self._key = key
         #: the settled order (as of the last read).
         self._keys: list[tuple] = []
         self._colors: list[Color] = []
-        #: the current key of every member.
-        self._key_of: dict[Color, tuple] = {}
-        #: colors re-keyed, added or removed since the last read, mapped to
-        #: their key in the settled order (None if they are not in it).
-        self._moved: dict[Color, tuple | None] = {}
+        #: the key of every color in the settled order.
+        self._settled: dict[Color, tuple] = {}
+        #: the current members.
+        self._members: set[Color] = set()
+        #: colors marked or removed since the last read, mapped to the round
+        #: of their latest mark (None once removed).
+        self._moved: dict[Color, int | None] = {}
+        #: the number of membership changes so far: an equal count means
+        #: the same members.
+        self.version = 0
 
     def __len__(self) -> int:
-        return len(self._key_of)
+        return len(self._members)
 
     def __contains__(self, color: Color) -> bool:
-        return color in self._key_of
+        return color in self._members
 
-    def members(self) -> KeysView[Color]:
-        """The current members, in no particular order (no settling)."""
-        return self._key_of.keys()
+    def members(self) -> set[Color]:
+        """The current members (no settling).  Treat as read-only."""
+        return self._members
 
-    def clear(self) -> None:
-        self._keys.clear()
-        self._colors.clear()
-        self._key_of.clear()
-        self._moved.clear()
-
-    def apply(
-        self,
-        updates: Iterable[tuple[Color, tuple]],
-        removals: Iterable[Color] = (),
-    ) -> None:
-        """Record a batch of removals, then key updates (inserts included)."""
-        key_of = self._key_of
+    def mark(self, rnd: int, colors: Iterable[Color]) -> None:
+        """Record that ``colors`` joined or may have been re-keyed in ``rnd``."""
+        members = self._members
         moved = self._moved
-        for color in removals:
-            if color in key_of:
-                moved.setdefault(color, key_of.pop(color))
-        for color, key in updates:
-            old = key_of.get(color)
-            if old != key:
-                moved.setdefault(color, old)
-                key_of[color] = key
+        for color in colors:
+            moved[color] = rnd
+            if color not in members:
+                members.add(color)
+                self.version += 1
+
+    def remove(self, colors: Iterable[Color]) -> None:
+        """Record that ``colors`` left (non-members are ignored)."""
+        members = self._members
+        moved = self._moved
+        for color in colors:
+            if color in members:
+                members.discard(color)
+                moved[color] = None
+                self.version += 1
 
     def _settle(self) -> None:
-        """Bring the settled order up to date with the current keys."""
+        """Key the changed colors and bring the settled order up to date."""
         moved = self._moved
         if not moved:
             return
-        key_of = self._key_of
+        key = self._key
+        settled = self._settled
         if len(moved) > max(8, len(self._colors) // 2):
-            pairs = sorted(zip(key_of.values(), key_of.keys()))
+            for color, rnd in moved.items():
+                if rnd is None:
+                    settled.pop(color, None)
+                else:
+                    settled[color] = key(color, rnd)
+            pairs = sorted(zip(settled.values(), settled.keys()))
             self._keys = [k for k, _ in pairs]
             self._colors = [c for _, c in pairs]
         else:
             keys, colors = self._keys, self._colors
-            for color, old in moved.items():
-                key = key_of.get(color)
-                if key == old:
+            for color, rnd in moved.items():
+                old = settled.get(color)
+                new = None if rnd is None else key(color, rnd)
+                if new == old:
                     continue
                 if old is not None:
                     i = bisect_left(keys, old)
                     del keys[i]
                     del colors[i]
-                if key is not None:
-                    i = bisect_left(keys, key)
-                    keys.insert(i, key)
+                if new is None:
+                    del settled[color]
+                else:
+                    settled[color] = new
+                    i = bisect_left(keys, new)
+                    keys.insert(i, new)
                     colors.insert(i, color)
         moved.clear()
 

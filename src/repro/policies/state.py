@@ -140,6 +140,15 @@ class SectionThreeState:
     def eligible_colors(self) -> list[Color]:
         return [c for c, st in self.states.items() if st.eligible]
 
+    def csk(self, color: Color) -> tuple:
+        """The memoized order key of a known color.
+
+        It is the key of the color object first seen, which is what the
+        reference paths sort by: colors that compare equal (``1``, ``1.0``,
+        ``True``) can still differ in :func:`color_sort_key`.
+        """
+        return self.states[color].csk
+
     # -- phase hooks ---------------------------------------------------------
 
     def on_drop_phase(self, rnd: int, dropped: Sequence[Job], cached) -> set[Color]:

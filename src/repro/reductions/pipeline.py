@@ -25,6 +25,7 @@ from repro.core.simulator import SimulationResult, simulate
 from repro.policies.dlru_edf import DeltaLRUEDFPolicy
 from repro.reductions import distribute as _distribute
 from repro.reductions import varbatch as _varbatch
+from repro.telemetry.recorder import get_recorder
 
 
 @dataclass
@@ -63,6 +64,14 @@ def _finish(
     layers: tuple[str, ...],
 ) -> PipelineResult:
     ledger = schedule.ledger(instance.sequence, instance.delta)
+    # The inner run's trace ends in its own ledger's summary, charged
+    # before the pull-back; the cost the pipeline reports goes under it.
+    spans = get_recorder().spans
+    if spans is not None and inner.trace is not None:
+        spans.span(
+            inner.trace, "pullback", parent=f"{inner.trace}/run",
+            **ledger.summary(),
+        )
     return PipelineResult(
         instance=instance,
         n=n,

@@ -41,7 +41,7 @@ SPAN_SCHEMA = "repro-trace-v2"
 #: canonical step names, in lifecycle order (used for child sorting).
 SPAN_NAMES = (
     "submit", "admit", "wal.intent", "wal.commit", "commit",
-    "execute", "drop", "reject", "run", "round", "summary",
+    "execute", "drop", "reject", "run", "round", "summary", "pullback",
 )
 _NAME_ORDER = {name: i for i, name in enumerate(SPAN_NAMES)}
 

@@ -1,6 +1,8 @@
 """Unit tests for repro.core.pending."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.job import Job
 from repro.core.pending import PendingPool, PendingStore
@@ -168,3 +170,72 @@ class TestPendingStore:
         store.add(J(1, 0, 2))
         ranked = store.all_pending()
         assert [j.color for j in ranked] == [1, 0]
+
+
+#: store operations: jobs arrive at most three rounds after the clock with
+#: per-job delay bounds (so a newer job can become its pool's head), the
+#: clock advances only at drops, sometimes skipping rounds.
+store_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("add"), st.integers(0, 3), st.integers(0, 3),
+            st.sampled_from([1, 2, 3, 5, 8]),
+        ),
+        st.tuples(st.just("execute"), st.integers(0, 3)),
+        st.tuples(st.just("remove"), st.integers(0, 3), st.integers(0, 7)),
+        st.tuples(st.just("drop"), st.integers(0, 3)),
+    ),
+    max_size=80,
+)
+
+
+@given(ops=store_ops)
+@settings(max_examples=300, deadline=None)
+def test_drop_phase_matches_a_walk_over_every_pool(ops):
+    """The due queue against an oracle that walks every pool, in creation
+    order, at every drop: the same jobs dropped in the same order, the
+    same idle-flip feed, nonidle colors and pending counts."""
+    store = PendingStore()
+    model: dict[int, list[Job]] = {}  # creation order, like the store
+    flips: set[int] = set()
+    now = 0
+
+    def change(color, jobs):
+        if bool(model.get(color)) != bool(jobs):
+            flips.add(color)
+        model[color] = jobs
+
+    for op in ops:
+        kind, color = op[0], op[1]
+        if kind == "add":
+            job = J(color, now + op[2], op[3])
+            store.add(job)
+            change(color, model.get(color, []) + [job])
+        elif kind == "execute":
+            jobs = sorted(model.get(color, []), key=Job.sort_key)
+            got = store.execute_one(color)
+            if jobs:
+                assert got.uid == jobs[0].uid
+                change(color, jobs[1:])
+            else:
+                assert got is None
+        elif kind == "remove":
+            jobs = model.get(color, [])
+            if jobs:
+                victim = jobs[op[2] % len(jobs)]
+                store.pool(color).remove(victim)
+                change(color, [j for j in jobs if j is not victim])
+        else:
+            now += op[1]
+            expected = []
+            for c, jobs in list(model.items()):
+                due = sorted((j for j in jobs if j.deadline <= now), key=Job.sort_key)
+                expected += due
+                change(c, [j for j in jobs if j.deadline > now])
+            assert [j.uid for j in store.drop_expired(now)] == [j.uid for j in expected]
+        assert store.take_idle_flips() == flips
+        flips.clear()
+        assert store.nonidle_colors() == [c for c, jobs in model.items() if jobs]
+        assert store.pending_count() == sum(map(len, model.values()))
+        for c in range(4):
+            assert store.pending_count(c) == len(model.get(c, []))

@@ -407,6 +407,27 @@ class TestTelemetryFlags:
         assert records[0]["schema"] == "repro-trace-v2"
         assert any(r.get("name") == "round" for r in records)
 
+    def test_pipeline_trace_carries_the_printed_cost(self, tmp_path, capsys):
+        # The inner run's summary is charged before the pull-back merges
+        # sibling recolorings (497 here); the pullback span under the same
+        # run root carries the cost that solve prints.
+        import re
+
+        from repro.telemetry import read_spans
+
+        trace = tmp_path / "t.jsonl"
+        assert main(["solve", "--workload", "bursty", "--horizon", "128",
+                     "--telemetry", str(trace)]) == 0
+        out = capsys.readouterr().out
+        printed = int(re.search(r"total_cost: (\d+)", out).group(1))
+        assert printed == 489
+        _, spans = read_spans(trace)
+        (pullback,) = [s for s in spans if s["name"] == "pullback"]
+        assert pullback["parent"] == f"{pullback['trace']}/run"
+        assert pullback["attrs"]["total_cost"] == printed
+        assert pullback["attrs"]["reconfig_count"] == 90
+        assert not any("wall_ms" in s for s in spans)
+
     def test_solve_telemetry_is_one_deterministic_span_tree(
         self, tmp_path, capsys
     ):

@@ -181,6 +181,16 @@ def datacenter_round_work():
         inst, policy, 1024, engine="incremental", record_events=False
     )
     counts = Counter()
+
+    def counted_key(name, key):
+        def count(color, rnd):
+            counts[name] += 1
+            return key(color, rnd)
+
+        return count
+
+    policy._lru_ranking._key = counted_key("lru_keys", policy._lru_ranking._key)
+    policy._edf_ranking._key = counted_key("edf_keys", policy._edf_ranking._key)
     drop_expired = PendingPool.drop_expired
     ordered = MaintainedRanking.ordered
     decide = policy.desired_configuration
@@ -223,6 +233,13 @@ class TestRoundWork:
         counts = datacenter_round_work
         assert counts["decisions"] == counts["rounds"]
         assert counts["reused"] >= 0.95 * counts["decisions"]
+
+    def test_rankings_build_no_key(self, datacenter_round_work):
+        # Membership decides every round and no order is read, so both
+        # rankings only mark their changes (eager keying built 416 LRU and
+        # 527 EDF keys here).
+        assert datacenter_round_work["lru_keys"] == 0
+        assert datacenter_round_work["edf_keys"] == 0
 
     def test_edf_ranking_never_read_in_order(self, datacenter_round_work):
         # Every eligible color fits in the LRU share, so the EDF walk
