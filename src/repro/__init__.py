@@ -5,7 +5,8 @@ A faithful, executable reproduction of Plaxton, Sun, Tiwari and Vin
 DeltaLRU-EDF online algorithms, the Distribute and VarBatch reductions, the
 offline machinery used in the analysis (Par-EDF, Seq-EDF, Aggregate,
 punctualization, exact optima and lower bounds), seeded workload generators
-including both appendix adversaries, and the E1–E12 experiment suite.
+including both appendix adversaries, and the experiment suite (E1–E11,
+E13, E14 and the A1–A5 ablations).
 
 Quickstart::
 

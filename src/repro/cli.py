@@ -74,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list experiments and workload generators")
 
     p_exp = sub.add_parser("experiment", help="run one experiment and print its table")
-    p_exp.add_argument("experiment_id", help="e.g. E1 .. E12, A1 .. A3")
+    p_exp.add_argument("experiment_id", help="e.g. E1 or A5 (see 'repro list')")
     p_exp.add_argument("--scale", default="quick", choices=["quick", "full"])
 
     p_all = sub.add_parser("all", help="run the whole experiment suite")
@@ -82,8 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_all.add_argument("--jobs", type=int, default=1,
                        help="worker processes (0 = one per core); output is "
                        "bit-identical at any value")
-    p_all.add_argument("--seed", type=int, default=0,
-                       help="root seed for derived seed streams")
     p_all.add_argument("--no-cache", action="store_true",
                        help="bypass the on-disk result cache")
     p_all.add_argument("--stats", action="store_true",
@@ -822,7 +820,6 @@ def _main(argv: Sequence[str] | None = None) -> int:
             list(EXPERIMENTS),
             scale=args.scale,
             jobs=args.jobs,
-            root_seed=args.seed,
             use_cache=not args.no_cache,
             collect_telemetry=args.stats,
         )

@@ -326,28 +326,22 @@ def simulate(
     n: int,
     speed: int = 1,
     record_events: bool = True,
-    incremental: bool = True,
     telemetry: Recorder | None = None,
-    engine: str | None = None,
+    engine: str = "incremental",
 ) -> SimulationResult:
     """One-shot convenience wrapper around the engine registry.
 
     ``engine`` selects by name (``reference``/``incremental``/``auto``,
-    see :mod:`repro.core.engine`) and overrides the ``incremental``
-    boolean when given.
+    see :mod:`repro.core.engine`).
     """
-    if engine is not None:
-        from repro.core.engine import make_simulator
+    from repro.core.engine import make_simulator
 
-        return make_simulator(
-            instance,
-            policy,
-            n,
-            engine=engine,
-            speed=speed,
-            record_events=record_events,
-            telemetry=telemetry,
-        ).run()
-    return Simulator(
-        instance, policy, n, speed, record_events, incremental, telemetry
+    return make_simulator(
+        instance,
+        policy,
+        n,
+        engine=engine,
+        speed=speed,
+        record_events=record_events,
+        telemetry=telemetry,
     ).run()

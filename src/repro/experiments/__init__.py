@@ -1,4 +1,4 @@
-"""The E1–E12 / A1–A3 experiment suite.
+"""The E1–E11, E13, E14 / A1–A5 experiment suite.
 
 The paper is theory-only; each experiment here empirically validates one of
 its claims (DESIGN.md §4 maps experiments to claims).  Every experiment
@@ -7,30 +7,23 @@ CLI) and returns an :class:`ExperimentResult` whose ``checks`` are asserted
 by the integration tests and whose ``table`` is what the benchmark harness
 prints.
 
-Execution goes through :mod:`repro.experiments.runner` — a parallel engine
-with deterministic seed streams (:mod:`repro.experiments.seeds`) and a
-content-addressed result cache (:mod:`repro.experiments.cache`) — so
-``repro all --jobs N`` is bit-identical to a serial run at any ``N``.
+Execution goes through :mod:`repro.experiments.runner` — a process pool
+with request-order reassembly and a content-addressed result cache
+(:mod:`repro.experiments.cache`) — so ``repro all --jobs N`` is
+bit-identical to a serial run at any ``N``.
 """
 
 from repro.experiments.cache import ResultCache, cache_key, default_cache_dir
 from repro.experiments.common import Check, ExperimentResult
-from repro.experiments.montecarlo import Replication, replicate, replicate_seeded
+from repro.experiments.montecarlo import Replication, replicate
 from repro.experiments.registry import EXPERIMENTS, get_experiment, run_experiment
-from repro.experiments.runner import (
-    RunReport,
-    TaskRecord,
-    replicate_parallel,
-    run_parallel,
-)
-from repro.experiments.seeds import SeedStream, derive_seed, replication_seeds
+from repro.experiments.runner import RunReport, TaskRecord, run_parallel
 
 __all__ = [
     "ExperimentResult",
     "Check",
     "Replication",
     "replicate",
-    "replicate_seeded",
     "EXPERIMENTS",
     "get_experiment",
     "run_experiment",
@@ -40,8 +33,4 @@ __all__ = [
     "RunReport",
     "TaskRecord",
     "run_parallel",
-    "replicate_parallel",
-    "SeedStream",
-    "derive_seed",
-    "replication_seeds",
 ]

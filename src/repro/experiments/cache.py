@@ -1,9 +1,10 @@
 """Content-addressed on-disk cache for experiment results.
 
-Sweeps and Monte-Carlo studies recompute the same (experiment, scale, seed)
-cells over and over; this cache makes re-runs free.  Entries are addressed
-by a stable SHA-256 key over the cell's identity **plus the package
-version**, so upgrading ``repro`` invalidates everything automatically.
+``repro all`` and the competitive-ratio dashboard recompute the same
+(experiment, scale) cells over and over; this cache makes re-runs free.
+Entries are addressed by a stable SHA-256 key over the cell's identity
+**plus the package version**, so upgrading ``repro`` invalidates
+everything automatically.
 
 Layout (under ``REPRO_CACHE_DIR``, else ``$XDG_CACHE_HOME/repro``, else
 ``~/.cache/repro``)::
@@ -49,7 +50,6 @@ def default_cache_dir() -> Path:
 def cache_key(
     experiment_id: str,
     scale: str,
-    seed: int | None = None,
     *,
     kind: str = "experiment",
     version: str = __version__,
@@ -59,9 +59,7 @@ def cache_key(
 
     The key is the SHA-256 of a canonical JSON document, so it is identical
     across processes, machines, and Python versions (``PYTHONHASHSEED``
-    plays no part).  ``seed`` is ``None`` for registry experiments (their
-    seeds are part of the scale parameters) and the replication seed for
-    Monte-Carlo cells.
+    plays no part).
 
     ``extra`` folds additional identity fields (JSON-encodable values) into
     the key.  Anything that changes what the cell *means* must be in here —
@@ -73,7 +71,6 @@ def cache_key(
         "kind": kind,
         "experiment": experiment_id,
         "scale": scale,
-        "seed": seed,
         "version": version,
     }
     if extra:

@@ -57,21 +57,3 @@ def replicate(
         raise ValueError("replicate needs at least one seed")
     return Replication(values)
 
-
-def replicate_seeded(
-    metric: Callable[[int], float],
-    label: object,
-    count: int,
-    root_seed: int = 0,
-) -> Replication:
-    """Like :func:`replicate`, but over derived seed streams.
-
-    Seeds come from :func:`repro.experiments.seeds.replication_seeds`
-    (pure function of ``(root_seed, label, index)``), so two studies with
-    different labels never share a seed and the value set is independent of
-    execution order.  For process-pool fan-out of the same computation, see
-    :func:`repro.experiments.runner.replicate_parallel`.
-    """
-    from repro.experiments.seeds import replication_seeds
-
-    return replicate(metric, replication_seeds(root_seed, label, count))

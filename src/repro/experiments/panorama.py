@@ -10,19 +10,12 @@
 
 from __future__ import annotations
 
+from repro.analysis.compare import standard_policy_set
 from repro.analysis.reporting import Table
 from repro.analysis.series import cost_series, offline_floor_series, sparkline
 from repro.core.simulator import simulate
 from repro.experiments.common import ExperimentResult, pick
-from repro.policies.baselines import (
-    ClassicLRUPolicy,
-    GreedyUtilizationPolicy,
-    StaticPartitionPolicy,
-)
-from repro.policies.direct import DirectLRUEDFPolicy
-from repro.policies.dlru import DeltaLRUPolicy
 from repro.policies.dlru_edf import DeltaLRUEDFPolicy
-from repro.policies.edf import EDFPolicy
 from repro.reductions.pipeline import solve_online
 from repro.workloads.generators import (
     bursty_workload,
@@ -43,18 +36,6 @@ _E14_PARAMS = {
     "quick": {"n": 8, "delta": 4, "horizon": 256, "seed": 1, "checkpoints": 6},
     "full": {"n": 16, "delta": 4, "horizon": 1024, "seed": 1, "checkpoints": 8},
 }
-
-
-def _policy_zoo(delta):
-    return [
-        ("static", StaticPartitionPolicy()),
-        ("classic-lru", ClassicLRUPolicy()),
-        ("greedy", GreedyUtilizationPolicy()),
-        ("dlru", DeltaLRUPolicy(delta)),
-        ("edf", EDFPolicy(delta)),
-        ("dlru-edf", DeltaLRUEDFPolicy(delta)),
-        ("direct", DirectLRUEDFPolicy(delta)),
-    ]
 
 
 def _workload_zoo(p):
@@ -80,7 +61,8 @@ def run_e13(scale: str = "quick") -> ExperimentResult:
     p = pick(scale, _E13_PARAMS)
     n, delta = p["n"], p["delta"]
     workloads = _workload_zoo(p)
-    names = [name for name, _ in _policy_zoo(delta)] + ["pipeline"]
+    policies = standard_policy_set(delta)
+    names = [name for name, _ in policies] + ["pipeline"]
     table = Table(
         ["workload", "jobs"] + names,
         title=f"E13 — total cost leaderboard (n={n}, Delta={delta})",
@@ -90,8 +72,8 @@ def run_e13(scale: str = "quick") -> ExperimentResult:
     for wname, instance in workloads:
         row: list = [wname, instance.sequence.num_jobs]
         costs: dict[str, int] = {}
-        for pname, policy in _policy_zoo(delta):
-            run = simulate(instance, policy, n=n, record_events=False)
+        for pname, make_policy in policies:
+            run = simulate(instance, make_policy(), n=n, record_events=False)
             costs[pname] = run.total_cost
         costs["pipeline"] = solve_online(instance, n=n, record_events=False).total_cost
         best = min(costs.values())

@@ -19,7 +19,6 @@ EXPERIMENTS: dict[str, Callable[[str], ExperimentResult]] = {
     "E9": theorems.run_e9,
     "E10": scenario.run_e10,
     "E11": theorems.run_e11,
-    "E12": scenario.run_e12,
     "E13": panorama.run_e13,
     "E14": panorama.run_e14,
     "A1": ablations.run_a1,
@@ -28,20 +27,6 @@ EXPERIMENTS: dict[str, Callable[[str], ExperimentResult]] = {
     "A4": ablations.run_a4,
     "A5": ablations.run_a5,
 }
-
-
-#: Experiments whose tables report wall-clock measurements (throughput,
-#: seconds).  Their *checks* are stable, but their cell values vary run to
-#: run and with machine load, so the parallel runner's bit-identity
-#: guarantee — and the determinism test suite — covers every experiment
-#: except these.
-TIMING_EXPERIMENTS: frozenset[str] = frozenset({"E12"})
-
-#: Experiments whose full payload is a pure function of (scale); the
-#: determinism suite samples from this set.
-DETERMINISTIC_EXPERIMENTS: tuple[str, ...] = tuple(
-    eid for eid in EXPERIMENTS if eid not in TIMING_EXPERIMENTS
-)
 
 
 def get_experiment(experiment_id: str) -> Callable[[str], ExperimentResult]:

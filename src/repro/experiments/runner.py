@@ -1,14 +1,13 @@
 """Parallel experiment engine: one process pool, request-order results, caching.
 
-``repro.cli all`` used to walk the 19-experiment registry serially in one
-process.  This module fans registry experiments, Monte-Carlo seed
-replications, and sweep grids out over one stdlib process pool
-(:func:`pool_map`) while keeping three guarantees:
+This module fans registry experiments out over one stdlib process pool
+(:func:`pool_map`, which sweep grids share) while keeping three
+guarantees:
 
-1. **Determinism** — task seeds come from :mod:`repro.experiments.seeds`
-   (pure functions of ``(root_seed, task label)``), and results are
-   reassembled in *request* order, never completion order.  ``jobs=1`` and
-   ``jobs=N`` therefore produce bit-identical payloads.
+1. **Determinism** — every experiment is a pure function of its scale,
+   and results are reassembled in *request* order, never completion
+   order.  ``jobs=1`` and ``jobs=N`` therefore produce bit-identical
+   payloads.
 2. **Rerun after a crash** — each worker stores its cell in the
    content-addressed :class:`~repro.experiments.cache.ResultCache` as soon
    as the cell is done, and a task that raises propagates only after every
@@ -36,9 +35,7 @@ from typing import Callable, Sequence
 from repro.analysis.reporting import Table, stats_table
 from repro.experiments.cache import ResultCache, cache_key
 from repro.experiments.common import ExperimentResult
-from repro.experiments.montecarlo import Replication
 from repro.experiments.registry import EXPERIMENTS, run_experiment
-from repro.experiments.seeds import replication_seeds
 from repro.telemetry import TelemetryRecorder, merge_snapshots
 from repro.telemetry.recorder import get_recorder, set_recorder
 
@@ -47,7 +44,6 @@ __all__ = [
     "RunReport",
     "pool_map",
     "run_parallel",
-    "replicate_parallel",
     "resolve_jobs",
 ]
 
@@ -58,26 +54,24 @@ class TaskRecord:
 
     experiment_id: str
     scale: str
-    seed: int | None
     cache_hit: bool
     wall_time: float
     rounds: int | None
     checks_passed: int
     checks_total: int
     worker_pid: int
-    #: result fingerprint (sha256 of the canonical payload), when known.
-    fingerprint: str | None = None
+    #: result fingerprint (sha256 of the canonical payload).
+    fingerprint: str
 
     def as_dict(self) -> dict:
         return {
             "experiment_id": self.experiment_id,
             "scale": self.scale,
-            "seed": self.seed,
             "cache": "hit" if self.cache_hit else "miss",
             "wall_time_s": round(self.wall_time, 4),
             "rounds": self.rounds,
             "checks": f"{self.checks_passed}/{self.checks_total}",
-            "digest": self.fingerprint[:12] if self.fingerprint else "-",
+            "digest": self.fingerprint[:12],
             "worker_pid": self.worker_pid,
         }
 
@@ -89,7 +83,6 @@ class RunReport:
     results: dict[str, ExperimentResult]
     records: list[TaskRecord] = field(default_factory=list)
     jobs: int = 1
-    root_seed: int = 0
     #: merged per-worker telemetry snapshot (empty unless collection was on).
     telemetry: dict = field(default_factory=dict)
 
@@ -125,7 +118,6 @@ class RunReport:
         """
         payload = {
             "jobs": self.jobs,
-            "root_seed": self.root_seed,
             "tasks": len(self.records),
             "cache_hits": self.cache_hits,
             "task_wall_time_s": round(sum(r.wall_time for r in self.records), 4),
@@ -179,16 +171,13 @@ def pool_map(fn: Callable, tasks: Sequence[tuple], jobs: int) -> list:
 
 
 def _rounds_of(result: ExperimentResult) -> int | None:
-    """Best-effort "rounds simulated" from a result's table or data.
+    """Best-effort "rounds simulated" from a result's ``rounds`` column.
 
     Unparseable cells in a ``rounds`` column are skipped (counted on
     ``repro_rounds_unparsed_cells_total`` when telemetry is on) and the
     *partial* sum over the parseable cells is returned — one bad cell no
     longer discards the whole column.  ``None`` only when nothing parsed.
     """
-    data_rounds = result.data.get("rounds")
-    if isinstance(data_rounds, (int, float)):
-        return int(data_rounds)
     try:
         idx = result.table.columns.index("rounds")
     except ValueError:
@@ -260,7 +249,6 @@ def run_parallel(
     experiment_ids: Sequence[str] | None = None,
     scale: str = "quick",
     jobs: int = 1,
-    root_seed: int = 0,
     cache_dir: str | os.PathLike | None = None,
     use_cache: bool = True,
     collect_telemetry: bool = False,
@@ -300,7 +288,7 @@ def run_parallel(
              for eid in ids],
             jobs,
         )
-        report = RunReport(results={}, jobs=jobs, root_seed=root_seed)
+        report = RunReport(results={}, jobs=jobs)
         snapshots = []
         for eid, (result, hit, wall, pid, snap) in zip(ids, outcomes):
             snapshots.append(snap)
@@ -308,7 +296,6 @@ def run_parallel(
             report.records.append(TaskRecord(
                 experiment_id=eid,
                 scale=scale,
-                seed=None,
                 cache_hit=hit,
                 wall_time=wall,
                 rounds=_rounds_of(result),
@@ -325,68 +312,3 @@ def run_parallel(
         if parent_recorder is not None:
             set_recorder(previous_recorder)
 
-
-def _execute_replication(
-    metric: Callable[[int], float],
-    label: str,
-    seed: int,
-    cache_dir: str | None,
-    use_cache: bool,
-) -> tuple:
-    """Worker body for one Monte-Carlo cell: ``metric(seed)`` with caching."""
-    started = time.perf_counter()
-    cache = ResultCache(cache_dir) if use_cache else None
-    key = cache_key(label, "replication", seed, kind="montecarlo")
-    value = cache.get(key) if cache is not None else None
-    hit = value is not None
-    if value is None:
-        value = float(metric(seed))
-        if cache is not None:
-            cache.put(key, value, meta={"label": label, "seed": seed})
-    return float(value), hit, time.perf_counter() - started, os.getpid()
-
-
-def replicate_parallel(
-    metric: Callable[[int], float],
-    label: str,
-    count: int,
-    root_seed: int = 0,
-    jobs: int = 1,
-    cache_dir: str | os.PathLike | None = None,
-    use_cache: bool = False,
-) -> tuple[Replication, list[TaskRecord]]:
-    """Monte-Carlo fan-out: ``metric`` over ``count`` derived seeds.
-
-    Seeds come from :func:`replication_seeds`, so the value set — and
-    therefore the :class:`Replication` aggregate — is identical for every
-    ``jobs`` setting and every completion order.  With ``jobs > 1`` the
-    metric must be picklable (a module-level function or
-    ``functools.partial`` of one).  Caching is opt-in here because a bare
-    callable's identity is not part of the key — enable it only for metrics
-    whose behaviour is pinned by ``label`` and the package version.  A cell
-    that raises propagates after every other cell is done (and cached).
-    """
-    if count < 1:
-        raise ValueError("replicate_parallel needs count >= 1")
-    seeds = replication_seeds(root_seed, label, count)
-    resolved_dir = str(ResultCache(cache_dir).root) if use_cache else None
-    outcomes = pool_map(
-        _execute_replication,
-        [(metric, label, seed, resolved_dir, use_cache) for seed in seeds],
-        resolve_jobs(jobs),
-    )
-    records = [
-        TaskRecord(
-            experiment_id=label,
-            scale="replication",
-            seed=seed,
-            cache_hit=hit,
-            wall_time=wall,
-            rounds=None,
-            checks_passed=0,
-            checks_total=0,
-            worker_pid=pid,
-        )
-        for seed, (_, hit, wall, pid) in zip(seeds, outcomes)
-    ]
-    return Replication(tuple(value for value, *_ in outcomes)), records

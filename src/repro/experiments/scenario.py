@@ -1,15 +1,11 @@
-"""E10, E12 — the motivating scenario and engine throughput.
+"""E10 — the motivating scenario.
 
-- **E10**: the introduction's background/short-term dilemma — naive policies
-  either thrash (classic LRU, greedy) or underutilize (static partition);
-  the paper's stack does neither.
-- **E12**: simulator throughput (rounds and jobs per second) on large
-  workloads, timed by :func:`throughput_run`.
+The introduction's background/short-term dilemma: naive policies either
+thrash (classic LRU, greedy) or underutilize (static partition); the
+paper's stack does neither.
 """
 
 from __future__ import annotations
-
-import time
 
 from repro.analysis.competitive import empirical_ratio_bracket
 from repro.analysis.reporting import Table
@@ -23,16 +19,11 @@ from repro.policies.baselines import (
 from repro.policies.dlru import DeltaLRUPolicy
 from repro.policies.dlru_edf import DeltaLRUEDFPolicy
 from repro.policies.edf import EDFPolicy
-from repro.workloads.scenarios import background_shortterm_instance, datacenter_workload
+from repro.workloads.scenarios import background_shortterm_instance
 
 _E10_PARAMS = {
     "quick": {"n": 8, "delta": 4},
     "full": {"n": 16, "delta": 4},
-}
-
-_E12_PARAMS = {
-    "quick": {"num_services": 8, "horizon": 2048, "n": 16, "delta": 8},
-    "full": {"num_services": 16, "horizon": 16384, "n": 32, "delta": 8},
 }
 
 
@@ -106,45 +97,3 @@ def run_e10(scale: str = "quick") -> ExperimentResult:
     )
     return result
 
-
-def throughput_run(scale: str = "quick") -> dict[str, float]:
-    """One timed simulation run; returns rounds/sec and jobs/sec."""
-    p = pick(scale, _E12_PARAMS)
-    instance = datacenter_workload(
-        num_services=p["num_services"], horizon=p["horizon"],
-        delta=p["delta"], seed=0,
-    )
-    policy = DeltaLRUEDFPolicy(p["delta"])
-    start = time.perf_counter()
-    run = simulate(instance, policy, n=p["n"], record_events=False)
-    elapsed = time.perf_counter() - start
-    return {
-        "rounds": instance.horizon,
-        "jobs": instance.sequence.num_jobs,
-        "seconds": elapsed,
-        "rounds_per_sec": instance.horizon / elapsed,
-        "jobs_per_sec": instance.sequence.num_jobs / elapsed,
-        "total_cost": run.total_cost,
-    }
-
-
-def run_e12(scale: str = "quick") -> ExperimentResult:
-    """Engine throughput."""
-    stats = throughput_run(scale)
-    table = Table(
-        ["rounds", "jobs", "seconds", "rounds/sec", "jobs/sec"],
-        title="E12 — simulator throughput",
-    )
-    table.add_row(
-        int(stats["rounds"]), int(stats["jobs"]), stats["seconds"],
-        stats["rounds_per_sec"], stats["jobs_per_sec"],
-    )
-    result = ExperimentResult(
-        experiment_id="E12",
-        title="Simulator throughput",
-        claim="the engine sustains laptop-scale workloads (> 500 rounds/sec)",
-        table=table,
-        data=stats,
-    )
-    result.check("engine sustains > 500 rounds/sec", stats["rounds_per_sec"] > 500)
-    return result

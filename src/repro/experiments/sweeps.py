@@ -7,24 +7,20 @@ of parameters; the user supplies ``build(point) -> Instance`` and
 ``run(instance, point) -> cost-like mapping``.
 
 Execution goes through the runner's process pool
-(:func:`repro.experiments.runner.pool_map`).  With ``sweep_id`` +
-``cache_dir`` set, every completed cell is content-cached as soon as it is
-done, so rerunning an interrupted sweep recomputes only the missing cells.
+(:func:`repro.experiments.runner.pool_map`).
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
 from repro.analysis.reporting import Table
 from repro.core.request import Instance
-from repro.experiments.cache import ResultCache, cache_key
 from repro.experiments.runner import pool_map, resolve_jobs
 
-__all__ = ["SweepResult", "grid", "run_sweep", "point_label"]
+__all__ = ["SweepResult", "grid", "run_sweep"]
 
 
 @dataclass
@@ -78,42 +74,18 @@ def grid(**axes: Iterable) -> list[dict]:
     return points
 
 
-def point_label(point: Mapping) -> str:
-    """Canonical label of one grid point: ``delta=2,n=8,seed=0``.
-
-    Sorted by parameter name, so it is stable across dict orderings; this
-    is the string a cached cell is keyed under.
-    """
-    return ",".join(f"{k}={point[k]}" for k in sorted(point))
-
-
 def _sweep_cell(
     build: Callable[[Mapping], Instance],
     run: Callable[[Instance, Mapping], Mapping],
     point: Mapping,
-    cache_dir: str | None = None,
-    sweep_id: str | None = None,
 ) -> dict:
     """One grid cell: build the instance, measure it, return the long row.
 
     Module-level so the process pool can ship it to worker processes.
-    With ``cache_dir`` + ``sweep_id`` the row is content-cached under the
-    canonical point label, making warm re-runs free.
     """
-    label = point_label(point)
-    cache = key = None
-    if cache_dir is not None and sweep_id is not None:
-        cache = ResultCache(cache_dir)
-        key = cache_key(sweep_id, label, kind="sweep")
-        hit = cache.get(key)
-        if isinstance(hit, dict):
-            return hit
     instance = build(point)
-    measurements = run(instance, point)
     row = dict(point)
-    row.update(measurements)
-    if cache is not None:
-        cache.put(key, row, meta={"sweep": sweep_id, "point": label})
+    row.update(run(instance, point))
     return row
 
 
@@ -122,8 +94,6 @@ def run_sweep(
     build: Callable[[Mapping], Instance],
     run: Callable[[Instance, Mapping], Mapping],
     jobs: int = 1,
-    cache_dir: str | os.PathLike | None = None,
-    sweep_id: str | None = None,
 ) -> SweepResult:
     """Run ``build`` then ``run`` at every point; collect long-form rows.
 
@@ -132,17 +102,12 @@ def run_sweep(
     pool; rows still come back in *point* order, so the result is
     identical to a serial run.  ``build`` and ``run`` must then be
     picklable (module-level functions or ``functools.partial`` of them),
-    since each cell crosses a process boundary.
-
-    Caching activates when both ``sweep_id`` (a stable name for this
-    study) and ``cache_dir`` are given.  A cell that raises propagates
-    after every other cell is done (and cached).
+    since each cell crosses a process boundary.  A cell that raises
+    propagates after every other cell is done.
     """
-    caching = cache_dir is not None and sweep_id is not None
-    resolved_dir = str(ResultCache(cache_dir).root) if caching else None
     rows = pool_map(
         _sweep_cell,
-        [(build, run, dict(point), resolved_dir, sweep_id) for point in points],
+        [(build, run, dict(point)) for point in points],
         resolve_jobs(jobs),
     )
     return SweepResult(rows=rows)

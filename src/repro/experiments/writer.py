@@ -4,9 +4,8 @@ Usage::
 
     python -m repro.experiments.writer [output-path]
 
-Takes about 25 s on a 2-CPU host.  Every table except E12's (wall-clock
-throughput) is a pure function of the code, so two runs differ only in
-E12's section; CI regenerates the file and fails on any other difference.
+Takes about 25 s on a 2-CPU host.  Every table is a pure function of the
+code, so CI regenerates the file and fails on any difference.
 """
 
 from __future__ import annotations
@@ -35,15 +34,12 @@ used.
 Every table below is regenerated by `repro all --scale full` (or one
 experiment at a time with `repro experiment E1 --scale full`).  This file
 itself is regenerated by `python -m repro.experiments.writer`, and CI
-regenerates it on every push and fails on any difference outside E12's
-table.
+regenerates it on every push and fails on any difference.
 
 **Determinism guarantee.** The suite runs through the parallel engine
-(`repro.experiments.runner`): every table except E12's is a pure function of
+(`repro.experiments.runner`): every table is a pure function of
 `(experiment, scale)` — `repro all --jobs N` is byte-identical to `--jobs 1`
 at any worker count, pinned by `tests/experiments/test_runner_determinism.py`.
-E12 measures wall-clock throughput, so its cell values (not its checks) vary
-with the machine and concurrent load.
 
 ## Claim-by-claim summary
 
@@ -60,7 +56,6 @@ with the machine and concurrent load.
 | E9 | Theorem 3: VarBatch resource competitive (general) | bounded ratio bracket | ratio_high 0.75-10.8 across 16 runs (the 10.8 is bursty seed 7, whose lower bound is loosest) |
 | E10 | Intro scenario: naive policies thrash or underutilize | combination dominates both failure modes | dlru-edf (760) beats static (1120), greedy (6224) and dlru (1640); on this benign rotation EDF (728) and classic LRU (660) edge ahead (E2 shows EDF's collapse) |
 | E11 | Resource augmentation helps then flattens | ratio non-increasing in n | ratio 1.37 -> 1.31 -> 0.11, flat from n/m = 16 on |
-| E12 | (engineering) simulator throughput | > 500 rounds/sec | thousands of rounds/sec on the 16k-round datacenter trace |
 | E13 | (panorama) every policy on every workload family | no policy dominates benign traces | static wins 4 of 5 families and classic LRU wins bursty; dlru-edf stays within 2.8x of every winner, while its pure halves lose 44x+ on their adversarial families (E4) |
 | E14 | (figure-shape) online cumulative cost vs offline floor over time | bounded prefix ratio throughout | prefix ratio 0.57-0.78 at every checkpoint after round 0 on a bursty trace (online n=16 stays under the m=2 floor) |
 | A1 | Design choice: the half/half LRU/EDF split | balanced split competitive with best extreme | half/half (1439) within 1.8x of the best extreme (pure LRU, 803) |

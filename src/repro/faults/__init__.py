@@ -4,7 +4,7 @@ A :class:`FaultPlan` — a small JSON document passed to ``repro serve
 --workers --inject-faults`` — makes chosen shard-worker operations raise,
 hang, or SIGKILL their worker, *bit reproducibly*: every decision is a
 pure function of ``(plan, label, attempt)``, with probabilistic rules
-driven by the same blake2b streams as :mod:`repro.experiments.seeds`.
+driven by the blake2b streams of :func:`repro.utils.procs.derive_unit`.
 
 Split:
 

@@ -23,7 +23,7 @@ Plan document (inline JSON or a file path)::
   the first worker incarnation, let the respawn succeed); ``-1`` means
   every attempt, which is how a test exhausts the respawn budget.
 - ``p`` (or ``probability``) thins injection with a *deterministic* coin:
-  :func:`repro.experiments.seeds.derive_unit` over
+  :func:`repro.utils.procs.derive_unit` over
   ``(plan seed, kind, label, attempt)``, so the same plan flips the same
   coins in every process and on every replay.
 """
@@ -36,7 +36,7 @@ from fnmatch import fnmatchcase
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from repro.experiments.seeds import derive_unit
+from repro.utils.procs import derive_unit
 
 __all__ = ["KINDS", "FaultSpec", "FaultPlan"]
 

@@ -225,7 +225,6 @@ async def _replay(
     port: int,
     instance: Instance,
     verify: bool,
-    expected_delta: bool,
     tenants: list[dict] | None = None,
     connect_attempts: int = 8,
 ) -> LoadgenReport:
@@ -245,7 +244,7 @@ async def _replay(
                 f"server already ticked to round {welcome.get('round')}; "
                 "digest verification needs a fresh session"
             )
-        if expected_delta and welcome.get("delta") != instance.delta:
+        if welcome.get("delta") != instance.delta:
             raise LoadgenError(
                 f"workload has Delta={instance.delta} but the server runs "
                 f"Delta={welcome.get('delta')}; digests would trivially differ"
@@ -348,7 +347,6 @@ def run_loadgen(
     port: int,
     instance: Instance,
     verify: bool = True,
-    check_delta: bool = True,
     tenants: list[dict] | None = None,
     connect_attempts: int = 8,
 ) -> LoadgenReport:
@@ -364,7 +362,6 @@ def run_loadgen(
             port,
             instance,
             verify,
-            check_delta,
             tenants=tenants,
             connect_attempts=connect_attempts,
         )

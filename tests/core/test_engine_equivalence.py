@@ -98,12 +98,12 @@ class TestRegistry:
 
 
 class TestEseriesWorkloads:
-    """The scenario workloads behind E10/E12 and the lemma experiments."""
+    """The scenario workloads behind E10 and the lemma experiments."""
 
     @pytest.mark.parametrize("seed,horizon", [
         pytest.param(0, 256, id="0"),
         pytest.param(7, 256, id="7"),
-        # E12's quick instance.
+        # The 2048-round datacenter trace at n = 16.
         pytest.param(0, 2048, id="0-2048"),
     ])
     def test_datacenter(self, seed, horizon):

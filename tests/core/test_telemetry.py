@@ -37,7 +37,7 @@ from repro.workloads.scenarios import datacenter_workload
 
 
 def _quick_datacenter():
-    """E12's quick datacenter instance, run at n = 16."""
+    """The 2048-round datacenter instance, run at n = 16."""
     return datacenter_workload(num_services=8, horizon=2048, delta=8, seed=0)
 
 

@@ -23,24 +23,23 @@ class TestCacheKey:
         assert cache_key("E1", "quick") == cache_key("E1", "quick")
 
     def test_distinguishes_every_identity_field(self):
-        base = cache_key("E1", "quick", 0)
-        assert cache_key("E2", "quick", 0) != base
-        assert cache_key("E1", "full", 0) != base
-        assert cache_key("E1", "quick", 1) != base
-        assert cache_key("E1", "quick", None) != base
-        assert cache_key("E1", "quick", 0, kind="montecarlo") != base
-        assert cache_key("E1", "quick", 0, version="0.0.0") != base
+        base = cache_key("E1", "quick")
+        assert cache_key("E2", "quick") != base
+        assert cache_key("E1", "full") != base
+        assert cache_key("E1", "quick", kind="opt-ratio") != base
+        assert cache_key("E1", "quick", version="0.0.0") != base
+        assert cache_key("E1", "quick", extra={"n": 8}) != base
 
     def test_stable_across_processes_and_hash_seeds(self):
         # The key must not depend on PYTHONHASHSEED or interpreter state:
         # workers and later sessions must address the same cells.
-        code = "from repro.experiments.cache import cache_key; print(cache_key('E3', 'full', 42))"
+        code = "from repro.experiments.cache import cache_key; print(cache_key('E3', 'full', extra={'n': 42}))"
         env = dict(os.environ, PYTHONHASHSEED="12345", PYTHONPATH=SRC)
         out = subprocess.run(
             [sys.executable, "-c", code], env=env,
             capture_output=True, text=True, check=True,
         )
-        assert out.stdout.strip() == cache_key("E3", "full", 42)
+        assert out.stdout.strip() == cache_key("E3", "full", extra={"n": 42})
 
     def test_versioned(self):
         # Upgrading the package must invalidate old entries; the current

@@ -20,7 +20,7 @@ class TestExperiment:
         assert "Appendix A" in out
 
     def test_lowercase_id(self, capsys):
-        assert main(["experiment", "e12"]) == 0
+        assert main(["experiment", "e14"]) == 0
 
     def test_unknown_id_raises(self):
         with pytest.raises(KeyError):

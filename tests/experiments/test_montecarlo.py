@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.experiments.montecarlo import Replication, replicate, replicate_seeded
-from repro.experiments.seeds import replication_seeds
+from repro.experiments.montecarlo import Replication, replicate
 
 
 class TestReplication:
@@ -55,28 +54,3 @@ class TestReplicate:
         assert rep.n == 5
         assert rep.mean > 0
 
-
-class TestReplicateSeeded:
-    def test_uses_derived_seed_stream(self):
-        seen: list[int] = []
-
-        def metric(seed: int) -> float:
-            seen.append(seed)
-            return float(seed % 97)
-
-        rep = replicate_seeded(metric, "study", 6, root_seed=11)
-        assert rep.n == 6
-        assert tuple(seen) == replication_seeds(11, "study", 6)
-
-    def test_label_separates_studies(self):
-        metric = float
-        a = replicate_seeded(metric, "alpha", 4, root_seed=0)
-        b = replicate_seeded(metric, "beta", 4, root_seed=0)
-        assert a.values != b.values
-
-    def test_root_seed_reproducibility(self):
-        metric = float
-        assert (replicate_seeded(metric, "s", 4, root_seed=5).values
-                == replicate_seeded(metric, "s", 4, root_seed=5).values)
-        assert (replicate_seeded(metric, "s", 4, root_seed=5).values
-                != replicate_seeded(metric, "s", 4, root_seed=6).values)

@@ -3,12 +3,13 @@
 Extract and execute the Python code blocks in README.md and docs/model.md —
 documentation that drifts from the API should fail CI, not readers.  Also
 smoke-runs the fastest examples in-process, and checks that every
-``repro`` subcommand, subcommand option, ``BENCH_*.json`` artifact and
-backticked source file that README.md, DESIGN.md, EXPERIMENTS.md or docs/
-names exists.
+``repro`` subcommand, subcommand option, ``BENCH_*.json`` artifact,
+backticked source file and backticked ``repro.`` dotted path that
+README.md, DESIGN.md, EXPERIMENTS.md or docs/ names exists.
 """
 
 import argparse
+import importlib
 import pathlib
 import re
 import runpy
@@ -39,6 +40,9 @@ SOURCE_PATH = re.compile(
     r"(?<![\w/.-])((?:src|tests|benchmarks|perfbench|examples)/[\w/.-]*\.py)"
     r"(?![\w/.-])"
 )
+#: a dotted path under the package, such as ``repro.core.digest`` or
+#: ``repro.opt.solve_opt``; a trailing ``*`` names an attribute prefix.
+DOTTED_PATH = re.compile(r"(?<![\w./-])repro(?:\.\w+)+\*?")
 
 
 def named_flags() -> list[tuple[str, str, str]]:
@@ -54,6 +58,32 @@ def named_flags() -> list[tuple[str, str, str]]:
                     for name in match.group(1).split(" | "):
                         named.append((doc.name, name, flag))
     return named
+
+
+def resolves(path: str) -> bool:
+    """True iff ``path`` names a module or an attribute chain under one.
+
+    The longest importable prefix is the module; the remaining parts are
+    looked up with ``getattr``.  A trailing ``*`` asks only that some
+    attribute of the parent start with the last part.
+    """
+    prefix = path.endswith("*")
+    parts = path.rstrip("*").split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:split]))
+        except ModuleNotFoundError:
+            continue
+        break
+    else:
+        return False
+    rest = parts[split:]
+    last = rest.pop() if prefix and rest else None
+    for name in rest:
+        if not hasattr(obj, name):
+            return False
+        obj = getattr(obj, name)
+    return last is None or any(attr.startswith(last) for attr in dir(obj))
 
 
 def python_blocks(path: pathlib.Path) -> list[str]:
@@ -148,6 +178,23 @@ class TestDocsNameLiveSurfaces:
         assert len(named) > 50, "the path pattern stopped matching the docs"
         missing = {entry for entry in named if not (ROOT / entry[1]).exists()}
         assert not missing, sorted(missing)
+
+    def test_named_dotted_paths_resolve(self):
+        named = {
+            (doc.name, path)
+            for doc in DOCS
+            for code in INLINE_CODE.findall(doc.read_text())
+            for path in DOTTED_PATH.findall(code)
+        }
+        assert len(named) > 100, "the dotted-path pattern stopped matching"
+        missing = {entry for entry in named if not resolves(entry[1])}
+        assert not missing, sorted(missing)
+
+    def test_the_resolver_reads_prefixes_and_stars(self):
+        assert resolves("repro.core.simulator.Simulator.step")
+        assert resolves("repro.workloads.adversarial.anti_dlru_*")
+        assert not resolves("repro.policies.seq_edf")
+        assert not resolves("repro.workloads.adversarial.no_such_*")
 
     def test_named_artifacts_exist(self):
         missing = {

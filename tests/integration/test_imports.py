@@ -1,15 +1,22 @@
-"""Unused-import guard.
+"""Import guards.
 
 Every module under ``src/repro`` and ``tests`` (package ``__init__.py``
 files aside, since they import to re-export) must mention each name it
 imports somewhere outside the import statement itself.  The check is
 textual on purpose: a name used only in a string annotation, such as
 ``"Recorder | None"``, counts as used.
+
+The serve stack must also stay light: importing ``repro.serve`` loads
+neither the experiment suite nor numpy.
 """
 
 import ast
+import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 
@@ -54,3 +61,23 @@ def test_the_guard_sees_an_unused_name():
         "    return x\n"
     )
     assert unused_imports(source) == [(1, "Callable"), (2, "os")]
+
+
+def test_serve_imports_neither_the_experiment_suite_nor_numpy():
+    code = (
+        "import json, sys\n"
+        "import repro.serve\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=ROOT,
+        capture_output=True, text=True, check=True,
+    )
+    loaded = json.loads(out.stdout)
+    assert "repro.serve" in loaded
+    heavy = [
+        name for name in loaded
+        if name == "numpy" or name.startswith(("numpy.", "repro.experiments"))
+    ]
+    assert not heavy, heavy

@@ -132,7 +132,7 @@ class TestServerIsolation:
             try:
                 report = await _replay(
                     "127.0.0.1", server.port, instance, verify=False,
-                    expected_delta=DELTA, tenants=plan["tenants"],
+                    tenants=plan["tenants"],
                 )
                 stats = server.session.stats()
                 tenant_stats = server.session.tenant_stats()

@@ -22,8 +22,8 @@ from tests.core.hashseed import string_relabel
 
 
 def _assert_equivalent(instance, make_policy, n, speed=1):
-    ref = simulate(instance, make_policy(), n=n, speed=speed, incremental=False)
-    inc = simulate(instance, make_policy(), n=n, speed=speed, incremental=True)
+    ref = simulate(instance, make_policy(), n=n, speed=speed, engine="reference")
+    inc = simulate(instance, make_policy(), n=n, speed=speed, engine="incremental")
     assert inc.ledger.summary() == ref.ledger.summary()
     assert inc.schedule.to_json() == ref.schedule.to_json()
     assert [repr(e) for e in inc.events] == [repr(e) for e in ref.events]
@@ -97,7 +97,7 @@ def test_dlru_edf_membership_decides_equivalent(monkeypatch):
     ids=["paper-split", "lru-only"],
 )
 def test_dlru_edf_regime_switch_equivalent(monkeypatch, n, lru_fraction, switches):
-    # E12's quick instance.
+    # The 2048-round datacenter trace.
     inst = datacenter_workload(num_services=8, horizon=2048, delta=8, seed=0)
     policies: list[DeltaLRUEDFPolicy] = []
     reads = _lru_reads(monkeypatch, policies)

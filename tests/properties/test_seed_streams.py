@@ -1,22 +1,15 @@
-"""Property tests for the deterministic seed-stream derivation.
+"""Property tests for the deterministic seed derivation.
 
-The parallel runner's reproducibility rests on three properties of
+Fault-plan coins and retry-backoff jitter rest on three properties of
 ``derive_seed``: it is a pure function of ``(root, path)``, distinct paths
 get distinct seeds, and derivation never depends on the order in which
 other seeds were derived.  Hypothesis searches for violations.
 """
 
-import random
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.seeds import (
-    SEED_BITS,
-    SeedStream,
-    derive_seed,
-    replication_seeds,
-)
+from repro.utils.procs import SEED_BITS, derive_seed
 
 roots = st.integers(min_value=0, max_value=2**63 - 1)
 labels = st.one_of(
@@ -60,18 +53,18 @@ class TestCollisionFreedom:
     def test_experiment_by_replication_grid_collision_free(
         self, root, experiments, count
     ):
-        # The exact grid the runner fans out: (experiment label, rep index).
+        # A (label, index) grid, as fault rules over (label, attempt) draw.
         seeds = [
-            seed
+            derive_seed(root, label, i)
             for label in experiments
-            for seed in replication_seeds(root, label, count)
+            for i in range(count)
         ]
         assert len(set(seeds)) == len(experiments) * count
 
     @settings(max_examples=25)
     @given(roots, st.integers(min_value=2, max_value=200))
     def test_indices_within_one_stream_collision_free(self, root, count):
-        seeds = replication_seeds(root, "study", count)
+        seeds = [derive_seed(root, "study", i) for i in range(count)]
         assert len(set(seeds)) == count
 
 
@@ -81,36 +74,15 @@ class TestOrderIndependence:
     def test_derivation_order_is_irrelevant(self, root, count, rnd):
         # Deriving seeds in a shuffled order (as completion-order workers
         # would) yields exactly the in-order values.
-        stream = SeedStream(root).child("replication", "study")
         indices = list(range(count))
         rnd.shuffle(indices)
-        shuffled = {i: stream.seed(i) for i in indices}
-        in_order = replication_seeds(root, "study", count)
-        assert tuple(shuffled[i] for i in range(count)) == in_order
-
-    @given(roots)
-    def test_child_path_equals_direct_derivation(self, root):
-        assert SeedStream(root).child("E3").seed(5) == derive_seed(root, "E3", 5)
+        shuffled = {i: derive_seed(root, "study", i) for i in indices}
+        in_order = [derive_seed(root, "study", i) for i in range(count)]
+        assert [shuffled[i] for i in range(count)] == in_order
 
     @given(roots)
     def test_no_hidden_state_between_calls(self, root):
-        stream = SeedStream(root)
-        first = stream.seed("a")
-        stream.seed("b")
-        stream.child("c").seed(0)
-        assert stream.seed("a") == first
-
-
-class TestRngHandoff:
-    @given(roots)
-    def test_rng_is_seeded_deterministically(self, root):
-        a = SeedStream(root).rng("policy")
-        b = SeedStream(root).rng("policy")
-        assert isinstance(a, random.Random)
-        assert [a.random() for _ in range(4)] == [b.random() for _ in range(4)]
-
-    @given(roots)
-    def test_sibling_rngs_are_independent_streams(self, root):
-        a = SeedStream(root).rng("left")
-        b = SeedStream(root).rng("right")
-        assert [a.random() for _ in range(4)] != [b.random() for _ in range(4)]
+        first = derive_seed(root, "a")
+        derive_seed(root, "b")
+        derive_seed(root, "c", 0)
+        assert derive_seed(root, "a") == first

@@ -352,7 +352,7 @@ class TestServerDeterminism:
             await conn.close()
             return await _replay(
                 "127.0.0.1", server.port, instance,
-                verify=True, expected_delta=True,
+                verify=True,
             )
 
         report = with_server(
@@ -371,7 +371,7 @@ class TestServerDeterminism:
             await conn.close()
             return await _replay(
                 "127.0.0.1", server.port, instance,
-                verify=True, expected_delta=True,
+                verify=True,
             )
 
         report = with_server(
@@ -389,7 +389,7 @@ class TestServerDeterminism:
                 await conn.close()
                 return await _replay(
                     "127.0.0.1", server.port, instance,
-                    verify=False, expected_delta=True,
+                    verify=False,
                 )
 
             return with_server(
@@ -586,7 +586,7 @@ class TestWorkersMode:
             await conn.close()
             return await _replay(
                 "127.0.0.1", server.port, instance,
-                verify=True, expected_delta=True,
+                verify=True,
             )
 
         report = with_server(

@@ -144,7 +144,7 @@ class TestTraceCompleteness:
             try:
                 return await _replay(
                     "127.0.0.1", server.port, instance,
-                    verify=True, expected_delta=True,
+                    verify=True,
                 )
             finally:
                 await server.stop()
@@ -209,7 +209,7 @@ class TestTracingNeverChangesDigests:
             try:
                 return await _replay(
                     "127.0.0.1", server.port, instance,
-                    verify=True, expected_delta=True,
+                    verify=True,
                 )
             finally:
                 await server.stop()
