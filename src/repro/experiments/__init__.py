@@ -8,12 +8,10 @@ by the integration tests and whose ``table`` is what the benchmark harness
 prints.
 
 Execution goes through :mod:`repro.experiments.runner` — a process pool
-with request-order reassembly and a content-addressed result cache
-(:mod:`repro.experiments.cache`) — so ``repro all --jobs N`` is
+with request-order reassembly — so ``repro all --jobs N`` is
 bit-identical to a serial run at any ``N``.
 """
 
-from repro.experiments.cache import ResultCache, cache_key, default_cache_dir
 from repro.experiments.common import Check, ExperimentResult
 from repro.experiments.montecarlo import Replication, replicate
 from repro.experiments.registry import EXPERIMENTS, get_experiment, run_experiment
@@ -27,9 +25,6 @@ __all__ = [
     "EXPERIMENTS",
     "get_experiment",
     "run_experiment",
-    "ResultCache",
-    "cache_key",
-    "default_cache_dir",
     "RunReport",
     "TaskRecord",
     "run_parallel",

@@ -10,7 +10,7 @@ bug the checks below would surface), and records the ratio.
 Cell schema (one per workload, inside the ``bench-opt-v1`` payload)::
 
     {
-      "workload":      dashboard case name (stable cache identity),
+      "workload":      dashboard case name,
       "instance":      generated instance name,
       "n", "m":        online / offline resource counts (equal),
       "delta":         reconfiguration cost,
@@ -23,15 +23,12 @@ Cell schema (one per workload, inside the ``bench-opt-v1`` payload)::
       "opt_validated": True — construction is validation (repro.opt.decode),
       "opt_digest":    engine-free schedule digest of the decoded optimum,
       "adversary":     True for the lb-adversary cells,
-      "cached":        served from the result cache,
       "policy_costs":  {policy: total_cost},
       "ratios":        {policy: policy_cost / opt_cost, 4 decimals}
     }
 
-Cells are cached through :class:`repro.experiments.cache.ResultCache`
-under ``kind="opt-ratio"`` with the opt backend and solve horizon folded
-into the key — a cell solved under another backend name or a truncated
-horizon can never serve a stale OPT from cache.
+Every cell is computed by the code that reports it: nothing is stored
+between runs.
 """
 
 from __future__ import annotations
@@ -45,7 +42,6 @@ from repro import __version__
 from repro.analysis.reporting import Table
 from repro.core.request import Instance
 from repro.core.simulator import simulate
-from repro.experiments.cache import ResultCache, cache_key
 from repro.opt.backends import resolve_backend, solve_opt
 from repro.policies import make_policy
 from repro.telemetry.recorder import Recorder, get_recorder
@@ -163,7 +159,6 @@ def _compute_cell(
         "opt_validated": opt.validated,
         "opt_digest": opt.digests["run"],
         "adversary": case.adversary,
-        "cached": False,
         "policy_costs": {},
         "ratios": {},
     }
@@ -188,52 +183,33 @@ def ratio_dashboard(
     *,
     backend: str | None = None,
     engine: str = "incremental",
-    use_cache: bool = True,
-    cache_dir: str | Path | None = None,
+    use_cache: bool = False,
     max_states: int = 2_000_000,
     telemetry: "Recorder | None" = None,
 ) -> dict:
-    """Compute (or restore from cache) every ratio cell; return the payload.
+    """Compute every ratio cell; return the payload.
 
     The payload's ``checks`` record the acceptance contract:
     ``all_validated`` (every OPT passed the independent checker + digest),
     ``opt_leq_policies`` (the optimum never exceeds any policy's cost),
     and ``adversary_gap`` (at least one adversary cell with a ratio
     strictly above 1).  ``ok`` is their conjunction — CI gates on it.
+
+    ``use_cache`` only accepts ``False``: there is no result cache, and
+    the keyword stays for callers that still pass it.
     """
+    if use_cache:
+        raise ValueError(
+            "ratio_dashboard keeps no result cache; use_cache must be False"
+        )
     telem = telemetry if telemetry is not None else get_recorder()
     resolved = resolve_backend(backend)
-    cache = ResultCache(cache_dir) if use_cache else None
     cells: list[dict] = []
     for case in ratio_cases(scale):
-        instance = case.build()
-        key = cache_key(
-            f"ratio:{case.name}",
-            scale,
-            kind="opt-ratio",
-            extra={
-                "backend": resolved,
-                "horizon": instance.sequence.horizon,
-                "n": case.n,
-                "m": case.m,
-                "delta": instance.delta,
-                "engine": engine,
-                "policies": list(RATIO_POLICIES),
-            },
-        )
-        cell = cache.get(key) if cache is not None else None
-        if cell is not None:
-            cell = dict(cell)
-            cell["cached"] = True
-            telem.count("repro_opt_ratio_cells_total", outcome="cached")
-        else:
-            cell = _compute_cell(
-                case, backend=resolved, engine=engine, max_states=max_states
-            )
-            if cache is not None:
-                cache.put(key, cell, meta={"workload": case.name})
-            telem.count("repro_opt_ratio_cells_total", outcome="computed")
-        cells.append(cell)
+        cells.append(_compute_cell(
+            case, backend=resolved, engine=engine, max_states=max_states
+        ))
+        telem.count("repro_opt_ratio_cells_total")
 
     ratios = [
         r
@@ -280,7 +256,7 @@ def render_dashboard(payload: Mapping) -> str:
     )
     for cell in payload["cells"]:
         row = [
-            cell["workload"] + (" *" if cell["cached"] else ""),
+            cell["workload"],
             cell["n"],
             cell["jobs"],
             cell["opt_cost"],
@@ -299,7 +275,6 @@ def render_dashboard(payload: Mapping) -> str:
         lines.append(f"  [{'ok' if passed else 'FAIL'}] {name}")
     if payload["max_ratio"] is not None:
         lines.append(f"  max ratio: {payload['max_ratio']:.2f}×")
-    lines.append("  (* = cell served from the result cache)")
     return "\n".join(lines)
 
 

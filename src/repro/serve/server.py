@@ -111,10 +111,6 @@ class ServeConfig:
     #: JSONL sink for request-scoped spans (``repro-trace-v2``); None
     #: disables span tracing entirely (the default — zero overhead).
     spans: str | None = None
-    #: seconds between periodic worker-telemetry scrapes in ``--workers``
-    #: mode (0 disables the background refresh; ``/metrics`` still
-    #: scrapes on demand).
-    metrics_interval: float = 2.0
     #: tenant plan path (``{"tenants": [contract, ...]}``) registered at
     #: startup; None leaves multi-tenant admission off entirely — no
     #: shedding, no tenant telemetry, digests byte-identical to a server
@@ -146,10 +142,6 @@ class ServeConfig:
         if self.worker_timeout <= 0:
             raise ValueError(
                 f"worker_timeout must be positive, got {self.worker_timeout}"
-            )
-        if self.metrics_interval < 0:
-            raise ValueError(
-                f"metrics_interval must be >= 0, got {self.metrics_interval}"
             )
         if self.idle_timeout < 0:
             raise ValueError(
@@ -237,7 +229,6 @@ class SchedulingServer:
         self._server: asyncio.AbstractServer | None = None
         self._metrics_server: asyncio.AbstractServer | None = None
         self._timer_task: asyncio.Task | None = None
-        self._metrics_task: asyncio.Task | None = None
         self._subscribers: list[asyncio.StreamWriter] = []
         self._writers: set[asyncio.StreamWriter] = set()
         self._stopping = asyncio.Event()
@@ -294,14 +285,6 @@ class SchedulingServer:
             self._timer_task = asyncio.get_running_loop().create_task(
                 self._timer_clock()
             )
-        if (
-            cfg.workers
-            and cfg.metrics_interval > 0
-            and self.telemetry.enabled
-        ):
-            self._metrics_task = asyncio.get_running_loop().create_task(
-                self._metrics_refresh()
-            )
         if self.journal is not None:
             self.journal.append({
                 "kind": "header",
@@ -322,15 +305,13 @@ class SchedulingServer:
     async def stop(self) -> None:
         """Close listeners, the timer, and every open client connection."""
         self._stopping.set()
-        for task_name in ("_timer_task", "_metrics_task"):
-            task = getattr(self, task_name)
-            if task is not None:
-                task.cancel()
-                try:
-                    await task
-                except asyncio.CancelledError:
-                    pass
-                setattr(self, task_name, None)
+        if self._timer_task is not None:
+            self._timer_task.cancel()
+            try:
+                await self._timer_task
+            except asyncio.CancelledError:
+                pass
+            self._timer_task = None
         for server in (self._server, self._metrics_server):
             if server is not None:
                 server.close()
@@ -504,14 +485,6 @@ class SchedulingServer:
             [snap]
             + [self._worker_snapshots[sid] for sid in sorted(self._worker_snapshots)]
         )
-
-    async def _metrics_refresh(self) -> None:
-        try:
-            while True:
-                await asyncio.sleep(self.config.metrics_interval)
-                self._refresh_worker_metrics()
-        except asyncio.CancelledError:
-            raise
 
     # -- the NDJSON protocol ---------------------------------------------------
 

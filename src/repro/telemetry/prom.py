@@ -36,7 +36,7 @@ HELP: dict[str, str] = {
     "repro_ranking_dirty_size": "Colors re-keyed per ranking refresh.",
     "repro_desired_cache_hits_total": "Desired-list cache hits (list reused verbatim).",
     "repro_desired_cache_misses_total": "Desired-list cache misses (ranking walked).",
-    "repro_runner_tasks_total": "Runner tasks executed, by cache outcome.",
+    "repro_runner_tasks_total": "Runner tasks executed.",
     "repro_task_seconds": "Wall time per runner task.",
     "repro_serve_connections_total": "Protocol connections accepted by the serve layer.",
     "repro_serve_frames_total": "Client frames processed, by frame type.",

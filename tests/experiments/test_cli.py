@@ -1,8 +1,15 @@
 """Unit tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+
+REPO = Path(__file__).resolve().parents[2]
 
 
 class TestList:
@@ -78,7 +85,7 @@ class TestSolve:
                 "--engine", engine,
             ]) == 0
             assert main([
-                "opt", "--no-cache", "--engine", engine,
+                "opt", "--engine", engine,
                 "--out", str(tmp_path / "opt.json"),
             ]) == 0
         assert seen == {("reference", False), ("incremental", True)}
@@ -117,6 +124,14 @@ class TestArgumentValidation:
     def test_bad_workload(self):
         with pytest.raises(SystemExit):
             main(["solve", "--workload", "nonsense"])
+
+    def test_every_workload_choice_names_a_generator(self):
+        import repro.workloads
+        from repro.cli import WORKLOADS
+
+        for name in WORKLOADS:
+            generator = f"{name.replace('-', '_')}_workload"
+            assert generator in repro.workloads.__all__, name
 
 
 class TestTraceCommands:
@@ -173,43 +188,40 @@ class TestVerifyCommand:
         assert "Theorem 3" in capsys.readouterr().out
 
 
+def _two_experiment_registry(monkeypatch):
+    """Shrink the registry ``repro all`` walks to E1 and E4."""
+    from repro.experiments import registry
+    from repro.experiments.adversarial import run_e1, run_e4
+
+    monkeypatch.setattr(registry, "EXPERIMENTS", {"E1": run_e1, "E4": run_e4})
+
+
 class TestAllCommand:
-    @staticmethod
-    def _isolate(monkeypatch, tmp_path):
-        """Point the runner's cache away from the user's real store."""
-        from repro.experiments.adversarial import run_e1, run_e4
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        monkeypatch.setattr(
-            "repro.cli.EXPERIMENTS", {"E1": run_e1, "E4": run_e4}
-        )
-
-    def test_all_runs_registry_subset(self, capsys, monkeypatch, tmp_path):
-        self._isolate(monkeypatch, tmp_path)
+    def test_all_runs_registry_subset(self, capsys, monkeypatch):
+        _two_experiment_registry(monkeypatch)
         assert main(["all", "--scale", "quick"]) == 0
         out = capsys.readouterr().out
         assert "## E1" in out
         assert "## E4" in out
         assert "2/2 experiments passed" in out
 
-    def test_all_parallel_output_matches_serial(self, capsys, monkeypatch, tmp_path):
-        self._isolate(monkeypatch, tmp_path)
-        assert main(["all", "--scale", "quick", "--jobs", "1", "--no-cache"]) == 0
+    def test_all_parallel_output_matches_serial(self, capsys, monkeypatch):
+        _two_experiment_registry(monkeypatch)
+        assert main(["all", "--scale", "quick", "--jobs", "1"]) == 0
         serial = capsys.readouterr().out
-        assert main(["all", "--scale", "quick", "--jobs", "2", "--no-cache"]) == 0
+        assert main(["all", "--scale", "quick", "--jobs", "2"]) == 0
         parallel = capsys.readouterr().out
         assert serial == parallel
 
-    def test_all_stats_reports_cache_hits(self, capsys, monkeypatch, tmp_path):
-        self._isolate(monkeypatch, tmp_path)
-        assert main(["all", "--scale", "quick"]) == 0
-        capsys.readouterr()
+    def test_all_stats_prints_the_runner_table(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        _two_experiment_registry(monkeypatch)
         stats_out = tmp_path / "stats" / "runner_stats.json"
         assert main(["all", "--scale", "quick", "--stats",
                      "--stats-out", str(stats_out)]) == 0
         out = capsys.readouterr().out
-        assert "cache hits 2/2" in out
-        assert "runner stats" in out
+        assert "runner stats — jobs=1, tasks 2" in out
         assert str(stats_out) in out
 
     def test_all_stats_payload_lands_at_stats_out(
@@ -217,19 +229,14 @@ class TestAllCommand:
     ):
         import json
 
-        self._isolate(monkeypatch, tmp_path)
+        _two_experiment_registry(monkeypatch)
         stats_out = tmp_path / "out" / "stats.json"
-        assert main(["all", "--scale", "quick", "--no-cache", "--stats",
+        assert main(["all", "--scale", "quick", "--stats",
                      "--stats-out", str(stats_out)]) == 0
         capsys.readouterr()
         payload = json.loads(stats_out.read_text())
         assert {r["experiment_id"] for r in payload["records"]} == {"E1", "E4"}
         assert payload["telemetry"]["counters"]["repro_rounds_total"][""] > 0
-
-    def test_all_no_cache_leaves_store_empty(self, capsys, monkeypatch, tmp_path):
-        self._isolate(monkeypatch, tmp_path)
-        assert main(["all", "--scale", "quick", "--no-cache"]) == 0
-        assert not list((tmp_path / "cache").glob("*/*.pkl"))
 
 
 def _run_with_failing_check(scale: str = "quick"):
@@ -241,33 +248,62 @@ def _run_with_failing_check(scale: str = "quick"):
     return result
 
 
+#: ``repro all`` over E1 and E4 with E1 raising.  Spawned pool workers
+#: re-run this top level, so they see the same broken registry.
+RAISING_ALL = """\
+import sys
+
+import repro.cli
+from repro.experiments import registry
+
+
+def broken(scale):
+    raise RuntimeError("E1 broke on purpose")
+
+
+for eid in list(registry.EXPERIMENTS):
+    if eid not in ("E1", "E4"):
+        del registry.EXPERIMENTS[eid]
+registry.EXPERIMENTS["E1"] = broken
+
+if __name__ == "__main__":
+    sys.exit(repro.cli.main(sys.argv[1:]))
+"""
+
+
 class TestAllExitCodes:
     """The ``all`` exit-code contract CI leans on: 0 = everything passed,
-    1 = a failed experiment check.  An experiment that raises propagates
-    (see ``test_runner_recovery``)."""
+    1 = a failed experiment check, nonzero with a traceback = a raising
+    experiment."""
 
-    @staticmethod
-    def _isolate(monkeypatch, tmp_path):
-        from repro.experiments.adversarial import run_e1, run_e4
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        monkeypatch.setattr(
-            "repro.cli.EXPERIMENTS", {"E1": run_e1, "E4": run_e4}
-        )
-
-    def test_clean_run_exits_zero(self, capsys, monkeypatch, tmp_path):
-        self._isolate(monkeypatch, tmp_path)
+    def test_clean_run_exits_zero(self, capsys, monkeypatch):
+        _two_experiment_registry(monkeypatch)
         assert main(["all", "--scale", "quick"]) == 0
 
-    def test_failed_check_exits_one(self, capsys, monkeypatch, tmp_path):
-        self._isolate(monkeypatch, tmp_path)
+    def test_failed_check_exits_one(self, capsys, monkeypatch):
+        _two_experiment_registry(monkeypatch)
         import repro.experiments.registry as registry
 
         monkeypatch.setitem(registry.EXPERIMENTS, "E1", _run_with_failing_check)
-        assert main(["all", "--scale", "quick", "--no-cache"]) == 1
+        assert main(["all", "--scale", "quick"]) == 1
         out = capsys.readouterr().out
         assert "1/2 experiments passed" in out
         assert "[FAIL]" in out
+
+    def test_raising_cell_fails_a_pooled_run(self, tmp_path):
+        script = tmp_path / "raising_all.py"
+        script.write_text(RAISING_ALL)
+        run = subprocess.run(
+            [sys.executable, str(script), "all", "--scale", "quick",
+             "--jobs", "2"],
+            env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+            cwd=tmp_path,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert run.returncode != 0
+        assert "E1 broke on purpose" in run.stderr
 
 
 class TestSweepCommand:
@@ -351,8 +387,7 @@ class TestMetricsCommand:
 
         from repro.experiments.runner import run_parallel
 
-        report = run_parallel(["E1"], jobs=1, collect_telemetry=True,
-                              cache_dir=tmp_path / "cache", use_cache=False)
+        report = run_parallel(["E1"], jobs=1, collect_telemetry=True)
         path = report.write_stats(tmp_path / "stats.json")
         assert main(["metrics", "--input", str(path)]) == 0
         out = capsys.readouterr().out
@@ -431,10 +466,10 @@ class TestTelemetryFlags:
     def test_solve_telemetry_is_one_deterministic_span_tree(
         self, tmp_path, capsys
     ):
-        from repro.cli import WORKLOADS
         from repro.core.simulator import simulate
         from repro.policies import make_policy
         from repro.telemetry import read_spans
+        from repro.workloads import datacenter_workload
 
         argv = ["solve", "--workload", "datacenter", "--horizon", "256",
                 "--policy", "dlru-edf", "--telemetry"]
@@ -444,7 +479,7 @@ class TestTelemetryFlags:
         assert first.read_bytes() == second.read_bytes()
         header, spans = read_spans(first)
         assert header == {"kind": "header", "schema": "repro-trace-v2"}
-        instance = WORKLOADS["datacenter"](delta=4, seed=0, horizon=256)
+        instance = datacenter_workload(delta=4, seed=0, horizon=256)
         rounds = instance.horizon  # the workload's last deadline, past 256
         assert [s["name"] for s in spans] == (
             ["run"] + ["round"] * rounds + ["summary"]

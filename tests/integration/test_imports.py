@@ -6,8 +6,9 @@ imports somewhere outside the import statement itself.  The check is
 textual on purpose: a name used only in a string annotation, such as
 ``"Recorder | None"``, counts as used.
 
-The serve stack must also stay light: importing ``repro.serve`` loads
-neither the experiment suite nor numpy.
+The entry points must also stay light: importing ``repro.serve`` or
+``repro.cli`` loads neither the experiment suite nor numpy, and
+importing ``repro.opt`` does not load the experiment suite.
 """
 
 import ast
@@ -17,6 +18,8 @@ import pathlib
 import re
 import subprocess
 import sys
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 
@@ -63,10 +66,16 @@ def test_the_guard_sees_an_unused_name():
     assert unused_imports(source) == [(1, "Callable"), (2, "os")]
 
 
-def test_serve_imports_neither_the_experiment_suite_nor_numpy():
+@pytest.mark.parametrize("module, heavy", [
+    ("repro.serve", ("numpy", "repro.experiments")),
+    # `repro serve`, `loadgen`, `top` and `spans` pay only for what they run.
+    ("repro.cli", ("numpy", "repro.experiments")),
+    ("repro.opt", ("repro.experiments",)),
+], ids=["repro.serve", "repro.cli", "repro.opt"])
+def test_entry_point_skips_heavy_imports(module, heavy):
     code = (
         "import json, sys\n"
-        "import repro.serve\n"
+        f"import {module}\n"
         "print(json.dumps(sorted(sys.modules)))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -75,9 +84,9 @@ def test_serve_imports_neither_the_experiment_suite_nor_numpy():
         capture_output=True, text=True, check=True,
     )
     loaded = json.loads(out.stdout)
-    assert "repro.serve" in loaded
-    heavy = [
+    assert module in loaded
+    found = [
         name for name in loaded
-        if name == "numpy" or name.startswith(("numpy.", "repro.experiments"))
+        if name in heavy or name.startswith(tuple(f"{h}." for h in heavy))
     ]
-    assert not heavy, heavy
+    assert not found, found

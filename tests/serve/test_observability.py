@@ -12,8 +12,6 @@ never to silently missing series.
 import asyncio
 import json
 
-import pytest
-
 from repro.core.job import Job
 from repro.serve.server import SchedulingServer, ServeConfig
 from repro.telemetry import parse_prometheus, render_prometheus
@@ -76,7 +74,7 @@ class TestMergedWorkerMetrics:
 
         run_server(
             test, shards=2, workers=True,
-            journal=str(tmp_path / "j.jsonl"), metrics_interval=0.0,
+            journal=str(tmp_path / "j.jsonl"),
         )
 
     def test_workers_mode_families_superset_of_single_process(self, tmp_path):
@@ -88,10 +86,7 @@ class TestMergedWorkerMetrics:
             return run_server(test, shards=2, **kw)
 
         single = families()
-        workers = families(
-            workers=True, journal=str(tmp_path / "j.jsonl"),
-            metrics_interval=0.0,
-        )
+        workers = families(workers=True, journal=str(tmp_path / "j.jsonl"))
         assert single <= workers
 
     def test_merged_snapshot_survives_the_prom_round_trip(self, tmp_path):
@@ -102,7 +97,7 @@ class TestMergedWorkerMetrics:
 
         run_server(
             test, shards=2, workers=True,
-            journal=str(tmp_path / "j.jsonl"), metrics_interval=0.0,
+            journal=str(tmp_path / "j.jsonl"),
         )
 
 
@@ -134,7 +129,7 @@ class TestScrapeFailureDegradation:
 
         run_server(
             test, shards=2, workers=True,
-            journal=str(tmp_path / "j.jsonl"), metrics_interval=0.0,
+            journal=str(tmp_path / "j.jsonl"),
         )
 
     def test_scrape_never_respawns_a_worker(self, tmp_path):
@@ -148,7 +143,7 @@ class TestScrapeFailureDegradation:
 
         run_server(
             test, shards=2, workers=True,
-            journal=str(tmp_path / "j.jsonl"), metrics_interval=0.0,
+            journal=str(tmp_path / "j.jsonl"),
         )
 
 
@@ -170,7 +165,7 @@ class TestWorkerHealth:
 
         run_server(
             test, shards=2, workers=True,
-            journal=str(tmp_path / "j.jsonl"), metrics_interval=0.0,
+            journal=str(tmp_path / "j.jsonl"),
         )
 
     def test_healthz_reports_per_worker_liveness(self, tmp_path):
@@ -193,7 +188,7 @@ class TestWorkerHealth:
 
         run_server(
             test, shards=2, workers=True, metrics_port=0,
-            journal=str(tmp_path / "j.jsonl"), metrics_interval=0.0,
+            journal=str(tmp_path / "j.jsonl"),
         )
 
     def test_single_process_healthz_has_no_workers_key(self):
@@ -232,11 +227,5 @@ class TestHttpMergedMetrics:
 
         run_server(
             test, shards=2, workers=True, metrics_port=0,
-            journal=str(tmp_path / "j.jsonl"), metrics_interval=0.0,
+            journal=str(tmp_path / "j.jsonl"),
         )
-
-
-class TestLatencyConfig:
-    def test_bad_observability_config_rejected(self):
-        with pytest.raises(ValueError):
-            ServeConfig(metrics_interval=-1.0)
