@@ -8,7 +8,9 @@
 - :mod:`repro.analysis.competitive` — empirical competitive-ratio
   measurement against the exact optimum or the lower/upper bound bracket;
 - :mod:`repro.analysis.reporting` — plain-text table rendering for the
-  experiment suite.
+  experiment suite;
+- :mod:`repro.analysis.series` — per-round cost series (numpy), imported
+  on first use of one of its names.
 """
 
 from repro.analysis.metrics import RunMetrics, collect_metrics
@@ -21,12 +23,6 @@ from repro.analysis.competitive import (
 from repro.analysis.attribution import ColorCosts, attribute_costs, attribution_table
 from repro.analysis.compare import Comparison, compare_policies, standard_policy_set
 from repro.analysis.reporting import Table
-from repro.analysis.series import (
-    CostSeries,
-    cost_series,
-    offline_floor_series,
-    sparkline,
-)
 from repro.analysis.timeline import TimelineStats, render_timeline, timeline_stats
 from repro.analysis.verify import VerificationReport, verify_run
 
@@ -57,3 +53,16 @@ __all__ = [
     "empirical_ratio_bracket",
     "Table",
 ]
+
+#: names of :mod:`repro.analysis.series`, which imports numpy: loaded on
+#: first use, so ``repro top`` and ``repro metrics`` (which import
+#: :mod:`repro.analysis.reporting`) never pay for numpy.
+_SERIES = frozenset({"CostSeries", "cost_series", "offline_floor_series", "sparkline"})
+
+
+def __getattr__(name: str):
+    if name in _SERIES:
+        from repro.analysis import series
+
+        return getattr(series, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

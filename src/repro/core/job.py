@@ -48,6 +48,12 @@ def _fresh_job_id() -> int:
     return next(_JOB_IDS)
 
 
+#: The default of ``Job(uid=...)``: mint a fresh id.  An explicit
+#: ``uid=None`` is stored as given, as the generated ``__init__`` of a
+#: ``default_factory`` field would store it.
+_FRESH: Any = object()
+
+
 @dataclass(frozen=True, slots=True)
 class Job:
     """A unit job.
@@ -77,15 +83,33 @@ class Job:
     uid: int = field(default_factory=_fresh_job_id)
     origin: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.color is BLACK:
+    # Written by hand: the generated frozen ``__init__`` stores each field
+    # through ``object.__setattr__`` and then calls ``__post_init__``,
+    # which made it the largest per-job cost of the serve submit path.
+    # This one checks the arguments first and stores the slots through
+    # their member descriptors (which skip the frozen ``__setattr__``);
+    # ``dataclass`` keeps a class's own ``__init__``.
+    def __init__(
+        self,
+        color: Color,
+        arrival: int,
+        delay_bound: int,
+        uid: int = _FRESH,
+        origin: int | None = None,
+    ) -> None:
+        if color is BLACK:
             raise ValueError("jobs must have a non-black color")
-        if self.arrival < 0:
-            raise ValueError(f"arrival must be >= 0, got {self.arrival}")
-        if self.delay_bound < 1:
+        if arrival < 0:
+            raise ValueError(f"arrival must be >= 0, got {arrival}")
+        if delay_bound < 1:
             raise ValueError(
-                f"delay bound must be a positive integer, got {self.delay_bound}"
+                f"delay bound must be a positive integer, got {delay_bound}"
             )
+        _set_color(self, color)
+        _set_arrival(self, arrival)
+        _set_delay_bound(self, delay_bound)
+        _set_uid(self, next(_JOB_IDS) if uid is _FRESH else uid)
+        _set_origin(self, origin)
 
     @property
     def deadline(self) -> int:
@@ -120,6 +144,14 @@ class Job:
         for determinism.
         """
         return (self.deadline, self.delay_bound, _color_order_key(self.color), self.uid)
+
+
+# The slots' member descriptors, which ``Job.__init__`` stores through.
+_set_color = Job.color.__set__  # type: ignore[attr-defined]
+_set_arrival = Job.arrival.__set__  # type: ignore[attr-defined]
+_set_delay_bound = Job.delay_bound.__set__  # type: ignore[attr-defined]
+_set_uid = Job.uid.__set__  # type: ignore[attr-defined]
+_set_origin = Job.origin.__set__  # type: ignore[attr-defined]
 
 
 def _color_order_key(color: Color) -> Any:

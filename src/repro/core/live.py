@@ -31,7 +31,7 @@ Violations raise :class:`LiveSequenceError` carrying a machine-readable
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.core.job import Color, Job
 from repro.core.request import Instance, Request
@@ -142,6 +142,25 @@ class LiveSequence:
         prev = self._bounds.get(color)
         if prev is not None and prev != delay_bound:
             raise _bound_conflict(color, prev, delay_bound)
+
+    def admits(self, arrival: int, bounds: Iterable[tuple[Color, int]]) -> bool:
+        """True if :meth:`check` passes every job that arrives in round
+        ``arrival`` or later with a ``(color, delay bound)`` pair in
+        ``bounds``: the sequence is open, ``arrival`` is not consumed,
+        and no pair's color is registered with another bound.
+
+        Tells the serve admission gate in one call per batch that no job
+        of it can be refused here; a False answer names no job, so the
+        caller then finds the refusal with :meth:`check`.
+        """
+        if self._closed or arrival < self._next:
+            return False
+        registered = self._bounds.get
+        for color, delay_bound in bounds:
+            prev = registered(color)
+            if prev is not None and prev != delay_bound:
+                return False
+        return True
 
     def push(self, job: Job) -> None:
         """Admit one job for its arrival round (must not be in the past)."""

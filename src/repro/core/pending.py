@@ -39,7 +39,10 @@ class PendingPool:
     drop phase).  ``index`` is the pool's creation index in that store.
     """
 
-    __slots__ = ("color", "index", "_heap", "_done", "_live", "_members", "_store")
+    __slots__ = (
+        "color", "index", "_heap", "_done", "_live", "_members", "_store",
+        "_key_color", "_key",
+    )
 
     def __init__(
         self, color: Color, store: PendingStore | None = None, index: int = 0
@@ -52,15 +55,28 @@ class PendingPool:
         self._members: set[int] = set()
         self._live = 0
         self._store = store
+        #: the color object of the last job added and its sort key.  Equal
+        #: colors share a pool but not a key (``1``, ``1.0`` and ``True``
+        #: order by type), so the key is reused only for the same object.
+        #: No job is black, so the first job always computes its key.
+        self._key_color: Color = None
+        self._key: object = None
 
     def add(self, job: Job) -> None:
         color = job.color
-        if color != self.color:
-            raise ValueError(f"job color {color!r} != pool color {self.color!r}")
+        if color is self._key_color:
+            key = self._key
+        else:
+            if color != self.color:
+                raise ValueError(
+                    f"job color {color!r} != pool color {self.color!r}"
+                )
+            key = self._key = color_sort_key(color)
+            self._key_color = color
         bound = job.delay_bound
         uid = job.uid
         heap = self._heap
-        entry = (job.arrival + bound, bound, color_sort_key(color), uid, job)
+        entry = (job.arrival + bound, bound, key, uid, job)
         heapq.heappush(heap, entry)
         self._members.add(uid)
         self._live += 1

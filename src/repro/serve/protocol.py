@@ -144,10 +144,25 @@ def job_from_wire(obj: object, default_arrival: int) -> Job:
     round) so fire-and-forget clients can omit it; ``uid`` defaults to a
     fresh server-side id so only replay clients need to manage ids.
 
-    Exact-type tests come first (``type(x) is dict``/``int``), so the
-    JSON objects every client sends skip the ABC checks; int and str
-    colors need no decoding.
+    The shape every client sends (a ``dict`` with an int or str color,
+    an int arrival >= 0, an int delay bound >= 1 and an int uid >= 0)
+    is recognised by one expression of exact-type tests and built
+    straight away; anything else takes the rule-by-rule path below,
+    which raises every :class:`ProtocolError`.  Exact-type tests come
+    first there too, so JSON objects skip the ABC checks, and int and
+    str colors need no decoding.
     """
+    if (
+        type(obj) is dict
+        and type(uid := obj.get("uid")) is int
+        and type(delay_bound := obj.get("delay_bound")) is int
+        and type(arrival := obj.get("arrival")) is int
+        and ((kind := type(color := obj.get("color"))) is int or kind is str)
+        and uid >= 0
+        and delay_bound >= 1
+        and arrival >= 0
+    ):
+        return Job(color, arrival, delay_bound, uid)
     if type(obj) is not dict and not isinstance(obj, Mapping):
         raise ProtocolError("bad_job", "each job must be a JSON object")
     color = obj.get("color")

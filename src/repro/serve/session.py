@@ -221,9 +221,10 @@ class AdmissionGate:
         self._in_flight = [0] * len(self._lives)
         self._seen_uids: set[int] = set()
         self._closed = False
-        #: shard id of each kept job of the last successful validate, in
-        #: batch order; None once committed (or after a failed validate).
-        self._validated: list[int] | None = None
+        #: what the last successful validate computed for commit: the
+        #: shard id of each kept job, in batch order, and the kept jobs'
+        #: uids; None once committed (or after a failed validate).
+        self._validated: tuple[list[int], set[int]] | None = None
         #: registration-time tenant admission (BDR composition against the
         #: shard capacities) plus per-tenant counters.
         self.tenants = TenantDirectory(
@@ -275,6 +276,10 @@ class AdmissionGate:
         cleanly is guaranteed to :meth:`commit` — the split exists so
         the server can write the journal intent between the two phases.
 
+        One batch-wide test clears most batches without visiting each
+        job (:meth:`_all_clear`); when it cannot, the per-job loop
+        decides, so every per-job refusal is raised there, with its index.
+
         ``trace`` is an opaque request id threaded through for span
         tracing; it never influences any admission decision.
 
@@ -292,12 +297,73 @@ class AdmissionGate:
         self._validated = None
         if self._closed:
             raise AdmissionError("closed", "session is closed")
-        lives = self._lives
-        sids = [shard_of(job.color, len(lives)) for job in self.last_kept]
+        num = len(self._lives)
+        if num == 1:
+            sids = [0] * len(self.last_kept)
+        else:
+            sids = [shard_of(job.color, num) for job in self.last_kept]
         indexed: Iterable[tuple[int, Job]] = enumerate(self.last_kept)
         if not self.tenants.empty:
             indexed = self._plan_sheds(sids)
             sids = [sids[index] for index, _ in indexed]
+        uids = self._all_clear(self.last_kept)
+        if uids is None:
+            uids = self._check_each(indexed, sids)
+        if num == 1:
+            load = {0: len(sids)} if sids else {}
+        else:
+            # Shards in order of first appearance in the batch.
+            load = Counter(sids)
+        for shard_id, extra in load.items():
+            held = self._in_flight[shard_id] + extra
+            if held > self.max_pending:
+                raise AdmissionError(
+                    "backpressure",
+                    f"shard {shard_id} would hold {held} "
+                    f"in-flight jobs (limit {self.max_pending}); retry after "
+                    f"ticking",
+                )
+        self.last_admission_votes = [
+            {"shard": sid, "verdict": "ok", "jobs": load[sid], "trace": trace}
+            for sid in sorted(load)
+        ]
+        self._validated = (sids, uids)
+
+    def _all_clear(self, jobs: list[Job]) -> set[int] | None:
+        """The uids of ``jobs`` if no per-job rule can refuse any of them,
+        else None (then :meth:`_check_each` finds the first refusal).
+
+        One pass per rule over the whole batch: the uids are distinct and
+        new, and every live sequence :meth:`admits
+        <repro.core.live.LiveSequence.admits>` the earliest arrival with
+        the batch's ``(color, delay bound)`` pairs, of which there is one
+        per color.  Asking every shard's sequence, not only the color's
+        own, keeps the test sound for equal colors such as ``4`` and
+        ``4.0``, which one pair stands for but which can live on
+        different shards.
+        """
+        if not jobs:
+            return set()
+        # Comprehensions, not map(attrgetter): their attribute reads are
+        # specialised for slots, which makes each pass about twice as fast.
+        uids = {job.uid for job in jobs}
+        if len(uids) != len(jobs) or not uids.isdisjoint(self._seen_uids):
+            return None
+        pairs = {(job.color, job.delay_bound) for job in jobs}
+        if len(dict(pairs)) != len(pairs):  # a color with two bounds
+            return None
+        arrival = min([job.arrival for job in jobs])
+        for live in self._lives:
+            if not live.admits(arrival, pairs):
+                return None
+        return uids
+
+    def _check_each(
+        self, indexed: Iterable[tuple[int, Job]], sids: list[int]
+    ) -> set[int]:
+        """Check each job in turn and raise the first refusal, at the
+        job's batch index; returns the batch's uids when none is found."""
+        lives = self._lives
         seen = self._seen_uids
         bounds: dict[Color, int] = {}
         batch_uids: set[int] = set()
@@ -323,22 +389,7 @@ class AdmissionGate:
                     index,
                 )
             batch_uids.add(job.uid)
-        # Shards in order of first appearance in the batch.
-        load = Counter(sids)
-        for shard_id, extra in load.items():
-            held = self._in_flight[shard_id] + extra
-            if held > self.max_pending:
-                raise AdmissionError(
-                    "backpressure",
-                    f"shard {shard_id} would hold {held} "
-                    f"in-flight jobs (limit {self.max_pending}); retry after "
-                    f"ticking",
-                )
-        self.last_admission_votes = [
-            {"shard": sid, "verdict": "ok", "jobs": load[sid], "trace": trace}
-            for sid in sorted(load)
-        ]
-        self._validated = sids
+        return batch_uids
 
     def _plan_sheds(self, sids: list[int]) -> list[tuple[int, Job]]:
         """Per-shard, per-tenant shed planning (pure) over ``last_kept``,
@@ -377,19 +428,23 @@ class AdmissionGate:
         """
         if self._validated is None:
             raise RuntimeError("commit without a matching validate")
-        sids, self._validated = self._validated, None
+        (sids, uids), self._validated = self._validated, None
         if len(sids) != len(jobs):
             raise RuntimeError("commit batch does not match validated batch")
         slices: dict[int, list[Job]] = {}
-        for sid, job in zip(sids, jobs):
-            slices.setdefault(sid, []).append(job)
+        if len(self._lives) == 1:
+            if jobs:
+                slices[0] = list(jobs)
+        else:
+            for sid, job in zip(sids, jobs):
+                slices.setdefault(sid, []).append(job)
         metered = not self.tenants.empty
         for sid, part in slices.items():
             self._lives[sid].push_checked(part)
             self._in_flight[sid] += len(part)
             if metered:
                 self._meters[sid].debit(part)
-        self._seen_uids.update([job.uid for job in jobs])
+        self._seen_uids |= uids
         return slices
 
     def submit(self, jobs: Sequence[Job]) -> list[dict]:

@@ -1,5 +1,9 @@
 """Unit tests for repro.core.job."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.core.job import BLACK, Job, color_sort_key
@@ -39,6 +43,69 @@ class TestJobConstruction:
         job = Job(color=0, arrival=0, delay_bound=1)
         with pytest.raises(Exception):
             job.color = 1  # type: ignore[misc]
+
+
+class TestHandWrittenInit:
+    """``Job.__init__`` is written by hand; everything the generated one
+    gave (messages, stored values, the dataclass protocol) must hold."""
+
+    @pytest.mark.parametrize("args, message", [
+        ((BLACK, 0, 1), "jobs must have a non-black color"),
+        ((0, -1, 1), "arrival must be >= 0, got -1"),
+        ((0, 0, 0), "delay bound must be a positive integer, got 0"),
+        ((0, 0, -3), "delay bound must be a positive integer, got -3"),
+        # The checks run in field order: the color first, then the arrival.
+        ((BLACK, -1, 0), "jobs must have a non-black color"),
+        ((0, -1, 0), "arrival must be >= 0, got -1"),
+    ])
+    def test_same_errors_and_messages(self, args, message):
+        with pytest.raises(ValueError) as info:
+            Job(*args)
+        assert str(info.value) == message
+
+    def test_explicit_uid_none_is_stored(self):
+        assert Job(0, 0, 1, uid=None).uid is None
+        assert Job(0, 0, 1, None).uid is None
+
+    def test_keywords_and_positions_agree(self):
+        assert Job(color=2, arrival=3, delay_bound=4, uid=5, origin=6) == Job(2, 3, 4, 5, 6)
+
+    @pytest.mark.parametrize("field", ["color", "arrival", "delay_bound", "uid", "origin"])
+    def test_every_field_is_frozen(self, field):
+        job = Job(color=0, arrival=0, delay_bound=1, uid=7)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(job, field, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(job, field)
+
+    def test_dataclass_protocol(self):
+        job = Job(color=(1, 2), arrival=3, delay_bound=4, uid=5, origin=2)
+        assert [f.name for f in dataclasses.fields(Job)] == [
+            "color", "arrival", "delay_bound", "uid", "origin",
+        ]
+        assert dataclasses.replace(job) == job
+        assert dataclasses.replace(job, arrival=9) == Job((1, 2), 9, 4, 5, 2)
+        assert dataclasses.astuple(job) == ((1, 2), 3, 4, 5, 2)
+        assert copy.copy(job) == job
+        assert copy.deepcopy(job) == job
+        assert pickle.loads(pickle.dumps(job)) == job
+        assert hash(pickle.loads(pickle.dumps(job))) == hash(job)
+        assert not hasattr(job, "__dict__")
+
+    def test_repr_is_byte_identical(self):
+        # The digests hash reprs of colors and jobs; pin the exact text.
+        assert repr(Job(color=3, arrival=5, delay_bound=4, uid=99)) == (
+            "Job(color=3, arrival=5, delay_bound=4, uid=99, origin=None)"
+        )
+        assert repr(Job(color=("a", 1.0), arrival=0, delay_bound=1, uid=1, origin=7)) == (
+            "Job(color=('a', 1.0), arrival=0, delay_bound=1, uid=1, origin=7)"
+        )
+
+    def test_fresh_uids_count_up(self):
+        first = Job(0, 0, 1)
+        second = Job(0, 0, 1)
+        assert isinstance(first.uid, int)
+        assert second.uid == first.uid + 1
 
 
 class TestExecutableWindow:
