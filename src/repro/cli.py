@@ -261,10 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          metavar="SECONDS",
                          help="per-attempt budget before a hung shard worker "
                          "is killed and respawned (default: 30)")
-    p_serve.add_argument("--inject-faults", default=None, metavar="PLAN",
-                         help="fault plan (inline JSON or a path) installed "
-                         "in --workers shard workers; kinds: raise, hang, "
-                         "kill")
     p_serve.add_argument("--tenants", default=None, metavar="PLAN_JSON",
                          help="tenant plan file ({'tenants': [...]}); each "
                          "entry is a named color set with an exact (rate, "
@@ -355,6 +351,18 @@ def _generate(workload: str, **kwargs) -> Instance:
 
 
 def _make_instance(args: argparse.Namespace) -> Instance:
+    """The command's instance: its ``--trace`` file when given, else its
+    ``--workload`` generated; a trace that cannot be read exits with one
+    ``repro <command>: ...`` line."""
+    if getattr(args, "trace", None) is not None:
+        from repro.workloads.trace import load_instance
+
+        try:
+            return load_instance(args.trace)
+        except (OSError, ValueError) as exc:
+            raise SystemExit(
+                f"repro {args.command}: cannot read trace {args.trace}: {exc}"
+            )
     kwargs: dict = {"delta": args.delta, "seed": args.seed}
     if args.horizon is not None:
         kwargs["horizon"] = args.horizon
@@ -434,12 +442,7 @@ def _run_opt_command(args: argparse.Namespace) -> int:
     try:
         if args.workload is not None or args.trace is not None:
             # Single-solve mode: one instance, one validated optimum.
-            if args.trace is not None:
-                from repro.workloads.trace import load_instance
-
-                instance = load_instance(args.trace)
-            else:
-                instance = _make_instance(args)
+            instance = _make_instance(args)
             m = args.m if args.m is not None else args.n
             result = solve_opt(
                 instance,
@@ -521,21 +524,24 @@ def _run_metrics_command(args: argparse.Namespace) -> int:
         snapshot = _scrape_metrics(args.url)
         title = f"telemetry — {args.url}"
     elif args.input is not None:
-        payload = json.loads(Path(args.input).read_text())
-        snapshot = payload.get("telemetry", payload)
+        try:
+            payload = json.loads(Path(args.input).read_text())
+        except (OSError, ValueError) as exc:
+            raise SystemExit(f"repro metrics: cannot read {args.input}: {exc}")
+        snapshot = (
+            payload.get("telemetry", payload)
+            if isinstance(payload, dict)
+            else payload
+        )
         if not isinstance(snapshot, dict) or "counters" not in snapshot:
             raise SystemExit(
-                f"{args.input} holds neither a metrics snapshot nor a "
-                "runner-stats payload with a 'telemetry' section"
+                f"repro metrics: {args.input} holds neither a metrics "
+                "snapshot nor a runner-stats payload with a 'telemetry' "
+                "section"
             )
         title = f"telemetry — {args.input}"
     else:
-        if args.trace is not None:
-            from repro.workloads.trace import load_instance
-
-            instance = load_instance(args.trace)
-        else:
-            instance = _make_instance(args)
+        instance = _make_instance(args)
         with tele.recording(
             tele.TelemetryRecorder(trace=args.telemetry)
         ) as rec:
@@ -568,12 +574,7 @@ def _run_loadgen_command(args: argparse.Namespace) -> int:
             raise SystemExit(f"cannot read port from {args.port_file}: {exc}")
     if port is None:
         raise SystemExit("loadgen needs --port or --port-file")
-    if args.trace is not None:
-        from repro.workloads.trace import load_instance
-
-        instance = load_instance(args.trace)
-    else:
-        instance = _make_instance(args)
+    instance = _make_instance(args)
     tenants = None
     if args.tenants:
         from repro.serve import TenantError, load_plan
@@ -829,12 +830,7 @@ def _main(argv: Sequence[str] | None = None) -> int:
 
         from repro import telemetry as tele
 
-        if args.trace is not None:
-            from repro.workloads.trace import load_instance
-
-            instance = load_instance(args.trace)
-        else:
-            instance = _make_instance(args)
+        instance = _make_instance(args)
         ctx = (
             tele.recording(tele.TelemetryRecorder(trace=args.telemetry))
             if args.telemetry
@@ -892,9 +888,8 @@ def _main(argv: Sequence[str] | None = None) -> int:
     if args.command == "verify":
         from repro.analysis.verify import verify_run
         from repro.core.notation import classify, recommended_solver
-        from repro.workloads.trace import load_instance
 
-        instance = load_instance(args.trace)
+        instance = _make_instance(args)
         cls = classify(instance)
         solver = recommended_solver(instance)
         print(f"instance: {instance.name}  {cls.notation()}  "
@@ -933,7 +928,6 @@ def _main(argv: Sequence[str] | None = None) -> int:
             workers=args.workers,
             worker_retries=args.worker_retries,
             worker_timeout=args.worker_timeout,
-            fault_plan=args.inject_faults,
             tenants=args.tenants,
             idle_timeout=args.idle_timeout,
         )

@@ -35,6 +35,7 @@ from repro.serve.protocol import (
 )
 from repro.serve.session import shard_of
 from repro.telemetry.quantiles import exact_quantile
+from repro.utils.procs import retry_backoff
 
 __all__ = ["LoadgenError", "LoadgenReport", "run_loadgen", "verify_offline"]
 
@@ -196,21 +197,19 @@ async def _connect_with_retry(
     host: str,
     port: int,
     attempts: int,
-    base: float = 0.05,
-    cap: float = 1.0,
 ) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
     """Bounded, deterministic retry around ``asyncio.open_connection``.
 
     The serve smoke path races the server's listen against the client's
     first connect (the port file can exist before accept() is armed), and
-    transient ECONNREFUSED/ECONNRESET show up under load.  Delays are a
-    fixed exponential ladder — ``min(cap, base * 2**k)`` with no jitter —
-    so a failing run fails in the same amount of time every time.
+    transient ECONNREFUSED/ECONNRESET show up under load.  Delays follow
+    :func:`~repro.utils.procs.retry_backoff` capped at 1 s, so a failing
+    run fails in the same amount of time every time.
     """
     last: Exception | None = None
     for attempt in range(attempts):
         if attempt:
-            await asyncio.sleep(min(cap, base * (2 ** (attempt - 1))))
+            await asyncio.sleep(retry_backoff(attempt, cap=1.0))
         try:
             return await asyncio.open_connection(host, port)
         except (ConnectionError, OSError) as exc:

@@ -34,7 +34,6 @@ from time import perf_counter
 from typing import Sequence
 
 from repro.core.job import Job
-from repro.faults.plan import FaultPlan
 from repro.policies import make_policy
 from repro.serve.journal import (
     JOURNAL_SCHEMA,
@@ -106,8 +105,6 @@ class ServeConfig:
     worker_retries: int = 2
     #: per-attempt seconds before a hung worker is SIGKILLed.
     worker_timeout: float = 30.0
-    #: fault plan (inline JSON or path) installed in shard workers.
-    fault_plan: str | None = None
     #: JSONL sink for request-scoped spans (``repro-trace-v2``); None
     #: disables span tracing entirely (the default — zero overhead).
     spans: str | None = None
@@ -189,11 +186,6 @@ class SchedulingServer:
                         name=config.name,
                         retries=config.worker_retries,
                         timeout=config.worker_timeout,
-                        fault_plan_json=(
-                            FaultPlan.from_arg(config.fault_plan).to_json()
-                            if config.fault_plan
-                            else None
-                        ),
                     )
                 )
             else:
@@ -454,8 +446,6 @@ class SchedulingServer:
         silently dropping the worker's series.
         """
         session = self.session
-        if not isinstance(session, WorkerShardedSession):
-            return
         try:
             snaps, failed = session.metrics_snapshots()
         except Exception:
@@ -471,20 +461,32 @@ class SchedulingServer:
                 )
 
     def merged_snapshot(self) -> dict:
-        """The frontend's snapshot merged with every worker's last-good.
+        """The frontend's snapshot merged with every shard's, each shard's
+        series labeled with its id.
 
-        Single-process mode: just the frontend snapshot (the engines
-        record into it directly).  Workers mode: an on-demand scrape
-        first, so ``/metrics`` is always at most one scrape old.
+        Single-process mode: each shard's own registry
+        (:meth:`ShardedSession.shard_snapshots`), labeled ``shard``.
+        Workers mode: an on-demand scrape first, then each worker's
+        last-good snapshot, labeled ``worker`` and ``shard``; so
+        ``/metrics`` is always at most one scrape old.
         """
-        self._refresh_worker_metrics()
+        session = self.session
+        if isinstance(session, WorkerShardedSession):
+            self._refresh_worker_metrics()
+            shards = [
+                self._worker_snapshots[sid]
+                for sid in sorted(self._worker_snapshots)
+            ]
+        else:
+            shards = [
+                relabel_snapshot(snap, shard=sid)
+                for sid, snap in enumerate(session.shard_snapshots())
+                if snap
+            ]
         snap = self.telemetry.snapshot()
-        if not self._worker_snapshots:
+        if not shards:
             return snap
-        return merge_snapshots(
-            [snap]
-            + [self._worker_snapshots[sid] for sid in sorted(self._worker_snapshots)]
-        )
+        return merge_snapshots([snap] + shards)
 
     # -- the NDJSON protocol ---------------------------------------------------
 

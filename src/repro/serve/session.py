@@ -43,7 +43,7 @@ from repro.serve.tenants import (
     TenantDirectory,
     shard_shares,
 )
-from repro.telemetry.recorder import Recorder
+from repro.telemetry.recorder import Recorder, TelemetryRecorder, get_recorder
 
 __all__ = [
     "AdmissionError",
@@ -58,9 +58,9 @@ __all__ = [
 def shard_of(color: Color, shards: int) -> int:
     """The shard owning ``color`` (deterministic, hash-seed independent).
 
-    Uses the same type+repr framing as the experiment seed derivation so
-    ``1`` and ``"1"`` cannot collide, hashed with blake2b — stable
-    across processes, platforms, and ``PYTHONHASHSEED``.
+    Hashes the color's type name and ``repr`` with blake2b, so ``1`` and
+    ``"1"`` cannot collide and the route is stable across processes,
+    platforms, and ``PYTHONHASHSEED``.
     """
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
@@ -86,6 +86,16 @@ def split_capacity(n: int, shards: int) -> list[int]:
         )
     base, extra = divmod(n, shards)
     return [base + 1 if i < extra else base for i in range(shards)]
+
+
+def _shard_recorder(recorder: Recorder) -> Recorder:
+    """One shard's recorder: a registry of its own behind ``recorder``'s
+    span sink, or ``recorder`` itself when it records nothing."""
+    if not recorder.enabled:
+        return recorder
+    own = TelemetryRecorder()
+    own.spans = recorder.spans
+    return own
 
 
 class AdmissionError(ValueError):
@@ -523,6 +533,9 @@ class ShardedSession(AdmissionGate):
     bounds each shard's in-flight jobs (pending in the simulator plus
     buffered for future rounds); a submit that would push any target
     shard over the bound is rejected whole with reason ``backpressure``.
+    When ``telemetry`` records, each shard's engine records into a
+    registry of its own (:meth:`shard_snapshots`), so the server can
+    label every engine series with its shard.
     """
 
     def __init__(
@@ -542,6 +555,7 @@ class ShardedSession(AdmissionGate):
         self.speed = speed
         self.engine = resolve_engine(engine)
         self.capacities = split_capacity(n, shards)
+        recorder = telemetry if telemetry is not None else get_recorder()
         self.shards = [
             SessionShard(
                 i,
@@ -549,7 +563,7 @@ class ShardedSession(AdmissionGate):
                 delta,
                 policy_factory(),
                 speed=speed,
-                telemetry=telemetry,
+                telemetry=_shard_recorder(recorder),
                 name=name,
                 engine=self.engine,
             )
@@ -565,6 +579,11 @@ class ShardedSession(AdmissionGate):
 
     def shard_for(self, color: Color) -> SessionShard:
         return self.shards[shard_of(color, len(self.shards))]
+
+    def shard_snapshots(self) -> list[dict]:
+        """Each shard's telemetry snapshot, in shard order (``{}`` each
+        when the session records nothing)."""
+        return [shard.sim.telemetry.snapshot() for shard in self.shards]
 
     def tick(self) -> dict:
         """Advance every shard one round; returns the merged result frame."""

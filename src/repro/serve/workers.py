@@ -26,24 +26,20 @@ round trip per worker per round, and the mirrors advance with
 the submit intent and its commit marker are on disk *before* the commit
 is sent to any worker, and round records land only after every shard
 finished the round.  So when a worker dies (EOF/EPIPE) or hangs past
-``timeout`` (SIGKILL), the parent respawns it with ``attempt + 1`` and
-the child rebuilds its entire ``LiveSequence``/policy/simulator state
-by replaying the journal filtered to its colors — byte-identical,
-digest for digest, to a shard that never died.  A commit whose send
-fails is therefore never re-sent: the respawned worker replayed it.  A
-worker that dies after a send is caught at the next blocking exchange
-and rebuilt the same way, and the in-flight blocking op re-runs against
-the replayed state deterministically.  Retries are bounded
-(``retries`` per worker per op) with deterministic
-:func:`~repro.utils.procs.retry_backoff` delays; past the bound the
-session raises and refuses further use.
+``timeout`` (SIGKILL), the parent respawns it and the child rebuilds
+its entire ``LiveSequence``/policy/simulator state by replaying the
+journal filtered to its colors — byte-identical, digest for digest, to
+a shard that never died.  A commit whose send fails is therefore never
+re-sent: the respawned worker replayed it.  A worker that dies after a
+send is caught at the next blocking exchange and rebuilt the same way,
+and the in-flight blocking op re-runs against the replayed state
+deterministically.  Retries are bounded (``retries`` per worker per op)
+with deterministic :func:`~repro.utils.procs.retry_backoff` delays;
+past the bound the session raises and refuses further use.
 
-Fault injection uses :mod:`repro.faults` plans: each worker op checks
-the label ``serve/shard{id}/{op}/{seq}`` (fnmatch, so
-``serve/shard1/tick/*`` kills shard 1 at its next tick).  Only worker
-processes install the plan, so hang/kill never reach the server.
-Replay runs *before* injection is consulted — a recovering worker must
-not be re-killed by the rule that killed it.
+Failover is exercised with real signals: ``kill -KILL`` (a dead worker)
+or ``kill -STOP`` (a hung one, SIGKILLed at ``timeout``) on the pid
+:meth:`WorkerShardedSession.worker_health` and ``/healthz`` report.
 """
 
 from __future__ import annotations
@@ -54,7 +50,6 @@ import time
 from multiprocessing.connection import wait as _conn_wait
 from typing import Sequence
 
-from repro import faults
 from repro.core.engine import resolve_engine
 from repro.core.job import Job
 from repro.core.live import LiveSequence
@@ -78,21 +73,16 @@ def _shard_worker_main(
     shards: int,
     params: dict,
     journal_path: str | None,
-    fault_plan_json: str | None,
-    attempt: int,
 ) -> None:
     """Worker loop: one shard, driven by ``(op, seq, payload)`` messages.
 
     Runs in the child process.  Replies are ``(kind, seq, payload)``;
     ``commit`` gets none.  The ``None`` sentinel shuts down.  Any
     uncaught exception kills the process — the parent sees EOF and
-    handles it as a crash, which is exactly what injected ``raise``
-    faults are meant to exercise.
+    handles it as a crash.
     """
     # Untrack the inherited heap: its first full GC cost a tick 30-85 ms.
     gc.freeze()
-    if fault_plan_json:
-        faults.install_plan(faults.FaultPlan.from_json(fault_plan_json))
     # Child-process telemetry: when the parent records, so does the
     # worker — its engine counters would otherwise vanish with the
     # process.  Snapshots ship home on the ``metrics`` op; the recorder
@@ -116,9 +106,7 @@ def _shard_worker_main(
         )
         replayed = 0
         if journal_path is not None:
-            # Recovery: rebuild the dead predecessor's state.  No fault
-            # is consulted during replay, or the rule that killed the
-            # worker would kill every successor too.
+            # Recovery: rebuild the dead predecessor's state.
             replayed = replay_shard(read_records(journal_path), shard, shards)
     except Exception as exc:
         try:
@@ -139,7 +127,6 @@ def _shard_worker_main(
         if message is None:
             break
         op, seq, payload = message
-        faults.maybe_inject(f"serve/shard{shard_id}/{op}/{seq}", attempt)
         if op == "commit":
             # A batch the frontend already admitted: push it, say nothing.
             shard.live.push_many([
@@ -184,7 +171,7 @@ class _ShardWorker:
 
     def __init__(self, shard_id: int):
         self.shard_id = shard_id
-        self.attempt = 0  # spawn counter; feeds fault-injection attempt
+        self.attempt = 0  # spawn counter
         self.worker: PipeWorker | None = None
         #: rounds the current incarnation replayed from the journal at
         #: spawn (0 for the first spawn) and the round it came up at.
@@ -219,7 +206,6 @@ class WorkerShardedSession(AdmissionGate):
         engine: str = "incremental",
         retries: int = 2,
         timeout: float = 30.0,
-        fault_plan_json: str | None = None,
     ):
         if not journal_path:
             raise ValueError(
@@ -244,7 +230,6 @@ class WorkerShardedSession(AdmissionGate):
         self.telemetry = telemetry if telemetry is not None else get_recorder()
         self.retries = retries
         self.timeout = timeout
-        self.fault_plan_json = fault_plan_json
         self._params_base = {
             "delta": delta,
             "policy": policy,
@@ -283,10 +268,6 @@ class WorkerShardedSession(AdmissionGate):
                 len(self._workers),
                 params,
                 self.journal_path if replay else None,
-                self.fault_plan_json,
-                # 0-based attempts: a default times=1 rule hits the
-                # first incarnation and spares every respawn.
-                wk.attempt - 1,
             ),
         )
         # Replay is bounded by the journal the parent just wrote, so the
@@ -338,7 +319,7 @@ class WorkerShardedSession(AdmissionGate):
             self.telemetry.count(
                 "repro_serve_worker_respawns_total", shard=str(wk.shard_id)
             )
-        time.sleep(retry_backoff(0, f"shard{wk.shard_id}/{op}", attempt))
+        time.sleep(retry_backoff(attempt))
         self._spawn(wk, replay=True)
 
     def _shutdown_workers(self) -> None:

@@ -11,6 +11,7 @@ import signal
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -144,37 +145,44 @@ class TestLoadgenErrors:
             ])
 
 
+@contextmanager
+def observed_server(tmp_path, workers):
+    """A 2-shard server with spans on, driven by one loadgen pass."""
+    port_file = tmp_path / "ports.json"
+    spans_file = tmp_path / "spans.jsonl"
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.cli", "serve",
+            "--port-file", str(port_file),
+            "--journal", str(tmp_path / "journal.jsonl"),
+            "--spans", str(spans_file),
+            "--shards", "2", "--n", "16", "--delta", "4",
+            "--quiet",
+        ] + ["--workers"] * workers,
+        env=serve_env(),
+        cwd=REPO,
+    )
+    try:
+        wait_for(port_file)
+        ports = json.loads(port_file.read_text())
+        rc = main([
+            "loadgen", "--port", str(ports["port"]),
+            "--workload", "poisson", "--delta", "4", "--horizon", "48",
+        ])
+        assert rc == 0
+        yield {**ports, "spans": spans_file}
+    finally:
+        if proc.poll() is None:
+            proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=20) == 0
+
+
 class TestObservabilityCli:
     @pytest.fixture
     def workers_server(self, tmp_path):
         """A --workers server with spans on, driven by one loadgen pass."""
-        port_file = tmp_path / "ports.json"
-        spans_file = tmp_path / "spans.jsonl"
-        proc = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro.cli", "serve",
-                "--port-file", str(port_file),
-                "--journal", str(tmp_path / "journal.jsonl"),
-                "--spans", str(spans_file),
-                "--workers", "--shards", "2", "--n", "16", "--delta", "4",
-                "--quiet",
-            ],
-            env=serve_env(),
-            cwd=REPO,
-        )
-        try:
-            wait_for(port_file)
-            ports = json.loads(port_file.read_text())
-            rc = main([
-                "loadgen", "--port", str(ports["port"]),
-                "--workload", "poisson", "--delta", "4", "--horizon", "48",
-            ])
-            assert rc == 0
-            yield {**ports, "spans": spans_file}
-        finally:
-            if proc.poll() is None:
-                proc.send_signal(signal.SIGTERM)
-            assert proc.wait(timeout=20) == 0
+        with observed_server(tmp_path, workers=True) as ports:
+            yield ports
 
     def test_metrics_url_scrapes_the_live_server(self, workers_server, capsys):
         url = f"http://127.0.0.1:{workers_server['metrics_port']}/metrics"
@@ -196,9 +204,14 @@ class TestObservabilityCli:
         snap = parse_prometheus(out)
         assert "repro_rounds_total" in snap["counters"]
 
-    def test_top_renders_per_shard_table(self, workers_server, capsys):
-        url = f"http://127.0.0.1:{workers_server['metrics_port']}/metrics"
-        rc = main(["top", "--url", url, "--count", "1"])
+    @pytest.mark.parametrize(
+        "workers", [False, True], ids=["single-process", "workers"]
+    )
+    def test_top_renders_per_shard_table(self, tmp_path, workers, capsys):
+        with observed_server(tmp_path, workers):
+            capsys.readouterr()
+            rc = main(["top", "--port-file", str(tmp_path / "ports.json"),
+                       "--count", "1"])
         out = capsys.readouterr().out
         assert rc == 0
         header, shard0, shard1 = (
@@ -206,6 +219,9 @@ class TestObservabilityCli:
             if line.startswith(("| shard", "|     0", "|     1"))
         )
         assert "respawns" in header and "tick p95 ms" in header
+        # Both shards ran every round of the replay.
+        rounds = {row.split("|")[2].strip() for row in (shard0, shard1)}
+        assert len(rounds) == 1 and int(rounds.pop()) >= 48
         assert "server: ticks" in out
 
     def test_spans_cli_renders_complete_trees(self, workers_server, capsys):

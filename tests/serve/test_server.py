@@ -318,7 +318,8 @@ class TestHttpSidecar:
             assert status == "200"
             assert "repro_serve_ticks_total 1" in body
             assert "repro_serve_round_seconds_bucket" in body
-            assert "repro_rounds_total 1" in body  # engine metrics flow too
+            # engine metrics flow too, labeled with their shard
+            assert 'repro_rounds_total{shard="0"} 1' in body
 
             status, body = await http_get("/healthz")
             assert status == "200"

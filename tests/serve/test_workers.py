@@ -13,7 +13,6 @@ assert the respawned shard is byte-identical to the never-killed
 oracle.
 """
 
-import json
 import os
 import signal
 import time
@@ -24,7 +23,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.job import Job
-from repro.faults.plan import FaultPlan
 from repro.policies import make_policy
 from repro.serve.journal import (
     commit_record,
@@ -137,6 +135,17 @@ class Harness:
         self.ws.close()
         self.oracle.close()
         self.journal.close()
+
+
+def signal_worker(session, shard, signum):
+    """Send ``signum`` to the shard's worker, at the pid ``/healthz``
+    reports; after SIGKILL, wait until the worker is reported dead."""
+    os.kill(session.worker_health()[shard]["pid"], signum)
+    if signum == signal.SIGKILL:
+        deadline = time.monotonic() + 10
+        while session.worker_health()[shard]["alive"]:
+            assert time.monotonic() < deadline, "killed worker still alive"
+            time.sleep(0.01)
 
 
 @pytest.fixture
@@ -515,8 +524,7 @@ class TestFailover:
         harness.submit(jobs)
         harness.tick()
         harness.tick()
-        victim = harness.ws._workers[0].worker.process.pid
-        os.kill(victim, signal.SIGKILL)
+        signal_worker(harness.ws, 0, signal.SIGKILL)
         for _ in range(4):
             harness.tick()
         assert harness.ws._workers[0].attempt == 2
@@ -531,58 +539,47 @@ class TestFailover:
         ])
         # The batch's marker is on disk but shard 1 may not have pushed
         # yet; killing here exercises replay-from-marker.
-        os.kill(harness.ws._workers[1].worker.process.pid, signal.SIGKILL)
+        signal_worker(harness.ws, 1, signal.SIGKILL)
         harness.submit([Job(color=palette[1][3], arrival=1, delay_bound=4)])
         for _ in range(6):
             harness.tick()
         harness.assert_identical()
 
-    def test_fault_plan_kill_and_respawn_metric(self, tmp_path):
+    def test_sigkill_respawns_once_and_counts_shard_1(self, tmp_path):
         telemetry = TelemetryRecorder()
-        plan = FaultPlan.from_arg(json.dumps({
-            "seed": 0,
-            "faults": [{"task": "serve/shard1/tick/*", "kind": "kill"}],
-        }))
-        h = Harness(
-            tmp_path, timeout=10.0, telemetry=telemetry,
-            fault_plan_json=plan.to_json(),
-        )
+        h = Harness(tmp_path, timeout=10.0, telemetry=telemetry)
         try:
             h.submit([
                 Job(color=f"c{i}", arrival=r, delay_bound=2)
                 for r in range(3)
                 for i in range(6)
             ])
-            for _ in range(5):
+            h.tick()
+            signal_worker(h.ws, 1, signal.SIGKILL)
+            for _ in range(4):
                 h.tick()
             h.assert_identical()
             counters = telemetry.snapshot()["counters"]
-            assert (
-                counters["repro_serve_worker_respawns_total"]['shard="1"'] == 1
-            )
+            assert counters["repro_serve_worker_respawns_total"] == {
+                'shard="1"': 1
+            }
+            assert [w["respawns"] for w in h.ws.worker_health()] == [0, 1]
         finally:
             h.close()
 
     def test_hang_fault_is_killed_and_respawned(self, tmp_path):
-        plan = FaultPlan.from_arg(json.dumps({
-            "seed": 0,
-            "faults": [{
-                "task": "serve/shard0/tick/*",
-                "kind": "hang",
-                "hang_seconds": 60,
-            }],
-        }))
-        h = Harness(tmp_path, timeout=1.0, fault_plan_json=plan.to_json())
+        h = Harness(tmp_path, timeout=1.0)
         try:
             h.submit([
                 Job(color=f"c{i}", arrival=0, delay_bound=3)
                 for i in range(6)
             ])
+            signal_worker(h.ws, 0, signal.SIGSTOP)
             t0 = time.monotonic()
             h.tick()
-            # The hung worker was SIGKILLed at the 1s budget, not waited
-            # out for the full 60s hang.
-            assert time.monotonic() - t0 < 30
+            # The stopped worker was SIGKILLed at the 1 s budget and its
+            # respawn answered the re-sent tick.
+            assert 1.0 <= time.monotonic() - t0 < 30
             assert h.ws._workers[0].attempt == 2
             h.tick()
             h.tick()
@@ -591,18 +588,11 @@ class TestFailover:
             h.close()
 
     def test_retry_exhaustion_poisons_the_session(self, tmp_path):
-        plan = FaultPlan.from_arg(json.dumps({
-            "seed": 0,
-            "faults": [{
-                "task": "serve/shard0/tick/*", "kind": "kill", "times": -1,
-            }],
-        }))
-        h = Harness(
-            tmp_path, timeout=5.0, retries=1, fault_plan_json=plan.to_json()
-        )
+        h = Harness(tmp_path, timeout=5.0, retries=0)
         try:
             h.ws.validate([Job(color="a", arrival=0, delay_bound=2)])
             h.ws.commit([Job(color="a", arrival=0, delay_bound=2)])
+            signal_worker(h.ws, 0, signal.SIGKILL)
             with pytest.raises(RuntimeError, match="shard 0 unavailable"):
                 h.ws.tick()
             with pytest.raises(RuntimeError, match="session failed"):
