@@ -909,31 +909,33 @@ def _main(argv: Sequence[str] | None = None) -> int:
     if args.command == "serve":
         from repro.serve import ServeConfig, serve_forever
 
-        config = ServeConfig(
-            host=args.host,
-            port=args.port,
-            metrics_port=None if args.metrics_port < 0 else args.metrics_port,
-            n=args.n,
-            delta=args.delta,
-            policy=args.policy,
-            shards=args.shards,
-            speed=args.speed,
-            engine=args.engine,
-            clock=args.clock,
-            round_interval=args.round_interval,
-            max_pending=args.max_pending,
-            journal=args.journal,
-            spans=args.spans,
-            port_file=args.port_file,
-            workers=args.workers,
-            worker_retries=args.worker_retries,
-            worker_timeout=args.worker_timeout,
-            tenants=args.tenants,
-            idle_timeout=args.idle_timeout,
-        )
+        # A bad config or plan, a busy port, a journal that cannot be
+        # opened or refused a record: one line, exit status 1.
         try:
+            config = ServeConfig(
+                host=args.host,
+                port=args.port,
+                metrics_port=None if args.metrics_port < 0 else args.metrics_port,
+                n=args.n,
+                delta=args.delta,
+                policy=args.policy,
+                shards=args.shards,
+                speed=args.speed,
+                engine=args.engine,
+                clock=args.clock,
+                round_interval=args.round_interval,
+                max_pending=args.max_pending,
+                journal=args.journal,
+                spans=args.spans,
+                port_file=args.port_file,
+                workers=args.workers,
+                worker_retries=args.worker_retries,
+                worker_timeout=args.worker_timeout,
+                tenants=args.tenants,
+                idle_timeout=args.idle_timeout,
+            )
             return serve_forever(config, quiet=args.quiet)
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:
             raise SystemExit(f"repro serve: {exc}")
 
     if args.command == "loadgen":

@@ -5,9 +5,8 @@ simulator keeps one pool per color; pools hand out the earliest-deadline
 pending job in ``O(log n)`` (heapq, per the reproduction band's hint) and
 drop everything whose deadline has been reached.
 
-Executed jobs are removed lazily: execution marks the uid as done, and the
-heap discards stale entries when popped.  This keeps both execution and drop
-operations logarithmic without heap surgery.
+Execution pops the heap head and the drop phase pops every due head, so
+every heap entry is a pending job and both operations stay logarithmic.
 
 A heap entry is ``(deadline, delay_bound, color key, uid, job)``: the
 fields of :meth:`Job.sort_key <repro.core.job.Job.sort_key>` followed by
@@ -39,10 +38,7 @@ class PendingPool:
     drop phase).  ``index`` is the pool's creation index in that store.
     """
 
-    __slots__ = (
-        "color", "index", "_heap", "_done", "_live", "_members", "_store",
-        "_key_color", "_key",
-    )
+    __slots__ = ("color", "index", "_heap", "_store", "_key_color", "_key")
 
     def __init__(
         self, color: Color, store: PendingStore | None = None, index: int = 0
@@ -50,10 +46,6 @@ class PendingPool:
         self.color = color
         self.index = index
         self._heap: list[tuple] = []
-        self._done: set[int] = set()
-        #: uids currently pending (heap entries minus lazily-removed ones).
-        self._members: set[int] = set()
-        self._live = 0
         self._store = store
         #: the color object of the last job added and its sort key.  Equal
         #: colors share a pool but not a key (``1``, ``1.0`` and ``True``
@@ -74,76 +66,40 @@ class PendingPool:
             key = self._key = color_sort_key(color)
             self._key_color = color
         bound = job.delay_bound
-        uid = job.uid
         heap = self._heap
-        entry = (job.arrival + bound, bound, key, uid, job)
+        entry = (job.arrival + bound, bound, key, job.uid, job)
         heapq.heappush(heap, entry)
-        self._members.add(uid)
-        self._live += 1
         store = self._store
         if store is not None:
-            if self._live == 1:
+            if len(heap) == 1:
                 store._on_idle_change(self.color, False)
             if heap[0] is entry:
                 heapq.heappush(store._due, (entry[0], self.index, self.color))
 
     def __len__(self) -> int:
-        return self._live
-
-    def __contains__(self, job: Job) -> bool:
-        return job.uid in self._members
+        return len(self._heap)
 
     @property
     def idle(self) -> bool:
         """The paper's idleness predicate: no pending jobs of this color."""
-        return self._live == 0
-
-    def _skim(self) -> None:
-        """Discard executed entries from the top of the heap."""
-        heap = self._heap
-        done = self._done
-        while heap and heap[0][3] in done:
-            done.discard(heapq.heappop(heap)[3])
+        return not self._heap
 
     def peek(self) -> Job | None:
         """Earliest-deadline pending job, or None if idle."""
-        self._skim()
         return self._heap[0][4] if self._heap else None
 
     def earliest_deadline(self) -> int | None:
-        job = self.peek()
-        return None if job is None else job.deadline
+        return self._heap[0][0] if self._heap else None
 
     def pop(self) -> Job:
         """Remove and return the earliest-deadline pending job."""
-        self._skim()
-        if not self._heap:
+        heap = self._heap
+        if not heap:
             raise IndexError(f"pool for color {self.color!r} is empty")
-        job = heapq.heappop(self._heap)[4]
-        self._members.discard(job.uid)
-        self._live -= 1
-        if self._live == 0 and self._store is not None:
+        job = heapq.heappop(heap)[4]
+        if not heap and self._store is not None:
             self._store._on_idle_change(self.color, True)
         return job
-
-    def remove(self, job: Job) -> None:
-        """Mark a pending job as no longer pending (lazy heap removal).
-
-        Raises :class:`KeyError` if ``job`` is not currently pending in this
-        pool (never added, already executed, dropped, or removed) — silently
-        decrementing in that case would drive the live count negative and
-        make ``idle`` lie about remaining work.
-        """
-        if job.uid not in self._members:
-            raise KeyError(
-                f"job {job.uid} is not pending in the pool for color "
-                f"{self.color!r}"
-            )
-        self._done.add(job.uid)
-        self._members.discard(job.uid)
-        self._live -= 1
-        if self._live == 0 and self._store is not None:
-            self._store._on_idle_change(self.color, True)
 
     def drop_expired(self, rnd: int) -> list[Job]:
         """Remove and return every pending job with deadline <= ``rnd``.
@@ -154,32 +110,17 @@ class PendingPool:
         sparse driving (e.g. schedule validation jumping between rounds).
         """
         heap = self._heap
-        done = self._done
-        members = self._members
         pop = heapq.heappop
         dropped: list[Job] = []
-        while heap:
-            entry = heap[0]
-            if entry[3] in done:
-                done.discard(pop(heap)[3])
-            elif entry[0] > rnd:
-                break
-            else:
-                pop(heap)
-                members.discard(entry[3])
-                dropped.append(entry[4])
-        if dropped:
-            self._live -= len(dropped)
-            if self._live == 0 and self._store is not None:
-                self._store._on_idle_change(self.color, True)
+        while heap and heap[0][0] <= rnd:
+            dropped.append(pop(heap)[4])
+        if dropped and not heap and self._store is not None:
+            self._store._on_idle_change(self.color, True)
         return dropped
 
     def pending_jobs(self) -> list[Job]:
         """Snapshot of pending jobs in deadline order (test/analysis helper)."""
-        self._skim()
-        done = self._done
-        live = [entry[4] for entry in self._heap if entry[3] not in done]
-        return sorted(live, key=Job.sort_key)
+        return sorted([entry[4] for entry in self._heap], key=Job.sort_key)
 
 
 class PendingStore:
@@ -193,10 +134,10 @@ class PendingStore:
     color)`` entries.  Its invariant: every pool with heap entries has a
     queued deadline no later than its heap head.  A pool queues itself when
     an added job becomes its heap head (its first job, or an earlier
-    deadline than its pending ones); executions and lazy removals only move
-    the head later, so its entry stays valid; and the drop phase re-queues
-    the head of every pool it visits.  Entries can be stale (their job was
-    executed) or repeated, never missing.
+    deadline than its pending ones); executions only move the head later,
+    so its entry stays valid; and the drop phase re-queues the head of
+    every pool it visits.  Entries can be stale (their job was executed)
+    or repeated, never missing.
     """
 
     def __init__(self, telemetry: Recorder | None = None) -> None:
@@ -266,8 +207,8 @@ class PendingStore:
         driving stays correct) and visits those pools once each, in
         creation order (the historical drop order).  A heap head holds its
         pool's earliest deadline, so a visited pool is called only when its
-        head is due or lazily removed: any other call would neither drop
-        nor skim anything.  Each visited pool's new head is queued again.
+        head is due: any other call would drop nothing.  Each visited
+        pool's new head is queued again.
         """
         due = self._due
         if not due or due[0][0] > rnd:
@@ -286,8 +227,7 @@ class PendingStore:
             heap = pool._heap
             if not heap:
                 continue
-            head = heap[0]
-            if head[0] <= rnd or head[3] in pool._done:
+            if heap[0][0] <= rnd:
                 dropped.extend(pool.drop_expired(rnd))
                 if not heap:
                     continue
@@ -299,9 +239,3 @@ class PendingStore:
         if color not in self._nonidle:
             return None
         return self._pools[color].pop()
-
-    def all_pending(self) -> list[Job]:
-        jobs: list[Job] = []
-        for pool in self._pools.values():
-            jobs.extend(pool.pending_jobs())
-        return sorted(jobs, key=Job.sort_key)

@@ -43,6 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from repro.core.bdr import exact_fraction
 from repro.core.job import Color, Job, color_sort_key
 from repro.core.request import Request
 from repro.core.simulator import Policy
@@ -53,19 +54,6 @@ from repro.policies.ranking import (
     lru_rank_key,
 )
 from repro.policies.state import SectionThreeState
-
-
-def _exact_fraction(value) -> Fraction:
-    """Read a capacity share exactly.
-
-    Floats go through their decimal literal (``str``) so ``0.35`` means
-    ``7/20``, not the nearest binary double — ``int(distinct * share)``
-    must land on the intended grid cell (ablation A1 sweeps it), and binary
-    rounding can put it one slot low (e.g. ``int(10 * 0.7) == 6``).
-    """
-    if isinstance(value, float):
-        return Fraction(str(value))
-    return Fraction(value)
 
 
 class DeltaLRUEDFPolicy(Policy):
@@ -79,7 +67,9 @@ class DeltaLRUEDFPolicy(Policy):
         Fraction of the *distinct-color capacity* reserved for the LRU set.
         The paper uses 1/2 (i.e. ``n/4`` of ``n/2``); the ablation benchmark
         A1 sweeps this.  Accepts a float, :class:`~fractions.Fraction`,
-        string, or int; the split is computed with exact arithmetic.
+        string, or int; the split is computed with exact arithmetic, a
+        float through its decimal literal, so ``0.7`` of 10 slots is 7,
+        not the ``int(10 * 0.7) == 6`` of binary rounding.
     replication:
         The paper caches every color twice.  Ablation A2 turns this off
         (capacity becomes ``n`` distinct colors, split by ``lru_fraction``).
@@ -98,7 +88,7 @@ class DeltaLRUEDFPolicy(Policy):
         replication: bool = True,
         track_history: bool = False,
     ):
-        self._lru_share = _exact_fraction(lru_fraction)
+        self._lru_share = exact_fraction(lru_fraction)
         if not (0 <= self._lru_share <= 1):
             raise ValueError(f"lru_fraction must be in [0, 1], got {lru_fraction}")
         self.state = SectionThreeState(delta, track_history=track_history)

@@ -68,32 +68,19 @@ JOURNAL_SCHEMA = "repro-serve-journal-v2"
 # -- record builders (the single source of the wire shapes) -------------------
 
 
-def submit_record(
-    seq: int, rnd: int, jobs: Sequence[Job], trace: str | None = None
-) -> dict:
-    """The write-ahead intent for one validated batch.
-
-    ``trace`` (the request's span-trace id) is additive and purely
-    observational: replay ignores it, so journals with and without it
-    rebuild identical sessions.
-    """
-    record = {
+def submit_record(seq: int, rnd: int, jobs: Sequence[Job]) -> dict:
+    """The write-ahead intent for one validated batch."""
+    return {
         "kind": "submit",
         "seq": seq,
         "round": rnd,
         "jobs": [job_to_wire(job) for job in jobs],
     }
-    if trace is not None:
-        record["trace"] = trace
-    return record
 
 
-def commit_record(seq: int, trace: str | None = None) -> dict:
+def commit_record(seq: int) -> dict:
     """The marker that batch ``seq``'s commit was handed to the shards."""
-    record = {"kind": "commit", "seq": seq}
-    if trace is not None:
-        record["trace"] = trace
-    return record
+    return {"kind": "commit", "seq": seq}
 
 
 def round_record(result: dict) -> dict:
@@ -126,26 +113,20 @@ def replay_ops(
     Returns ``("submit", [Job, ...])`` for every batch whose ``commit``
     marker made it to disk, ``("round", rnd)`` per completed round, and
     ``("tenant", contract_dict)`` per admitted tenant registration, in
-    journal order.  Pre-WAL v1 journals (submit records with no ``seq``)
-    replay too: v1 wrote submits only after commit, so every v1 submit
-    record counts as marked.
+    journal order.
     """
     record_list = list(records)
-    marked = {
-        r["seq"]
-        for r in record_list
-        if r.get("kind") == "commit" and "seq" in r
-    }
+    marked = {r["seq"] for r in record_list if r.get("kind") == "commit"}
     ops: list[tuple[str, object]] = []
     for record in record_list:
         kind = record.get("kind")
         if kind == "submit":
-            seq = record.get("seq")
-            if seq is not None and seq not in marked:
+            if record["seq"] not in marked:
                 continue  # intent without marker: admission never completed
-            rnd = record.get("round", 0)
-            jobs = [job_from_wire(w, rnd) for w in record.get("jobs", [])]
-            ops.append(("submit", jobs))
+            rnd = record["round"]
+            ops.append(
+                ("submit", [job_from_wire(w, rnd) for w in record["jobs"]])
+            )
         elif kind == "round":
             ops.append(("round", record["round"]))
         elif kind == "tenant":
@@ -192,8 +173,9 @@ def replay_session(
     per-shard replay is tested against): marked submits go through the
     session's own admission gate, rounds through :meth:`tick`, tenant
     registrations through :meth:`register_tenant`.  Journaled submits
-    carry only admitted jobs, so replay sheds nothing and the rebuilt
-    meters match the live ones exactly.
+    carry only admitted jobs, so replay sheds nothing: the rebuilt
+    meters match the live ones exactly, and each tenant's counters
+    count its admitted jobs (none shed: the journal holds no shed job).
     """
     stepped = 0
     for op, payload in replay_ops(records):

@@ -46,7 +46,9 @@ Server → client
     ``error``   a malformed frame (connection stays open when possible),
                 or an idle disconnect (``code: "idle_timeout"``) when a
                 non-subscriber sends nothing for the server's configured
-                idle window.
+                idle window, or ``code: "journal_failed"`` when the
+                server's journal refused a record: nothing more is
+                committed and the server stops.
     ``bye``     goodbye echo.
 
 Colors use the same codec as traces and schedules

@@ -14,10 +14,11 @@ many concurrent clients.  The round clock is either *client-driven*
 timer* (the server ticks itself every ``round_interval`` seconds and
 rejects client ticks with reason ``timer_clock``).
 
-Optional durability: ``journal`` writes one fsynced JSONL record per
+Optional durability: ``journal`` writes a write-ahead JSONL record per
 accepted submit batch and per completed round
-(:class:`~repro.utils.jsonl.JsonlJournal`), so an operator can replay a
-crashed session's admitted workload through ``repro loadgen``.
+(:class:`~repro.utils.jsonl.JsonlJournal`), so a crashed session's
+admitted workload can be replayed (:mod:`repro.serve.journal`).  The
+journal fails stop: see :class:`JournalError`.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import os
 import signal
 import tempfile
 from collections import deque
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from pathlib import Path
 from time import perf_counter
@@ -61,7 +63,7 @@ from repro.telemetry.registry import merge_snapshots, relabel_snapshot
 from repro.telemetry.spans import SpanWriter, mint_trace_id
 from repro.utils.jsonl import JsonlJournal
 
-__all__ = ["ServeConfig", "SchedulingServer", "serve_forever"]
+__all__ = ["JournalError", "ServeConfig", "SchedulingServer", "serve_forever"]
 
 #: cap on one HTTP request's header section (bytes and line count); a
 #: client trickling headers past either gets 431 and the connection closed.
@@ -73,6 +75,13 @@ SUBSCRIBER_BUFFER_LIMIT = 1 << 20
 #: recent tick/admission latency samples kept for the stats frame's exact
 #: percentiles.
 LATENCY_WINDOW = 4096
+
+
+class JournalError(OSError):
+    """The journal could not be opened or refused a record.  The server
+    answers a refused record with a ``journal_failed`` error frame,
+    commits nothing more and stops: it never acknowledges work its
+    journal could not replay."""
 
 
 @dataclass
@@ -157,6 +166,11 @@ class SchedulingServer:
         self.telemetry = (
             telemetry if telemetry is not None else TelemetryRecorder()
         )
+        #: contracts from --tenants, registered (BDR-checked, journaled,
+        #: installed) in plan order during :meth:`start`.
+        self._tenant_plan = (
+            load_plan(config.tenants) if config.tenants else []
+        )
         #: the journal this server created itself (``workers`` without
         #: ``journal``); :meth:`stop` deletes it.  An operator's journal
         #: is never deleted.
@@ -207,17 +221,19 @@ class SchedulingServer:
             raise
         # The journal opens (and truncates) only after the workers forked:
         # a respawn replays this file, a fresh spawn must not.
-        self.journal = (
-            JsonlJournal(config.journal, truncate=True)
-            if config.journal
-            else None
-        )
+        try:
+            self.journal = (
+                JsonlJournal(config.journal, truncate=True)
+                if config.journal
+                else None
+            )
+        except OSError as exc:
+            self.session.close()
+            self._remove_temp_journal()
+            raise JournalError(f"cannot open journal {config.journal}: {exc}")
+        #: the journal failure that stopped the server, if any.
+        self.failure: JournalError | None = None
         self._submit_seq = 0
-        #: contracts from --tenants, registered (BDR-checked, journaled,
-        #: installed) in plan order during :meth:`start`.
-        self._tenant_plan = (
-            load_plan(config.tenants) if config.tenants else []
-        )
         self._server: asyncio.AbstractServer | None = None
         self._metrics_server: asyncio.AbstractServer | None = None
         self._timer_task: asyncio.Task | None = None
@@ -234,8 +250,8 @@ class SchedulingServer:
             if config.spans
             else None
         )
-        #: submit-receipt counter minting trace ids (rejected submits get
-        #: ids too — their trace is root + reject).
+        #: submit-receipt counter minting trace ids under ``spans``
+        #: (rejected submits get ids too — their trace is root + reject).
         self._trace_seq = 0
         #: uid -> trace id for committed-but-not-yet-finished jobs; popped
         #: when the job executes or drops, so it stays bounded by pending.
@@ -250,45 +266,51 @@ class SchedulingServer:
     # -- lifecycle -------------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind both listeners, write the port file, start the timer."""
+        """Journal the header and plan tenants, bind both listeners, write
+        the port file, start the timer.  On failure the server is stopped
+        again and the error raised."""
         cfg = self.config
-        self._server = await asyncio.start_server(
-            self._handle_client,
-            cfg.host,
-            cfg.port,
-            limit=MAX_FRAME_BYTES,
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        if cfg.metrics_port is not None:
-            self._metrics_server = await asyncio.start_server(
-                self._handle_http, cfg.host, cfg.metrics_port
+        try:
+            if self.journal is not None:
+                self._journal_append({
+                    "kind": "header",
+                    "schema": JOURNAL_SCHEMA,
+                    "proto": PROTOCOL,
+                    **self._session_params(),
+                })
+            # Plan tenants register after the journal header so a failover
+            # replay sees them in WAL order.  A plan the BDR check rejects
+            # fails startup loudly rather than serving with a partial plan.
+            for contract in self._tenant_plan:
+                self._register_tenant(contract)
+            self._server = await asyncio.start_server(
+                self._handle_client,
+                cfg.host,
+                cfg.port,
+                limit=MAX_FRAME_BYTES,
             )
-            self.metrics_port = (
-                self._metrics_server.sockets[0].getsockname()[1]
-            )
-        if cfg.port_file:
-            Path(cfg.port_file).write_text(
-                json.dumps(
-                    {"port": self.port, "metrics_port": self.metrics_port}
+            self.port = self._server.sockets[0].getsockname()[1]
+            if cfg.metrics_port is not None:
+                self._metrics_server = await asyncio.start_server(
+                    self._handle_http, cfg.host, cfg.metrics_port
                 )
-                + "\n"
-            )
+                self.metrics_port = (
+                    self._metrics_server.sockets[0].getsockname()[1]
+                )
+            if cfg.port_file:
+                Path(cfg.port_file).write_text(
+                    json.dumps(
+                        {"port": self.port, "metrics_port": self.metrics_port}
+                    )
+                    + "\n"
+                )
+        except BaseException:
+            await self.stop()
+            raise
         if cfg.clock == "timer":
             self._timer_task = asyncio.get_running_loop().create_task(
                 self._timer_clock()
             )
-        if self.journal is not None:
-            self.journal.append({
-                "kind": "header",
-                "schema": JOURNAL_SCHEMA,
-                "proto": PROTOCOL,
-                **self._session_params(),
-            })
-        # Plan tenants register after the journal header so a failover
-        # replay sees them in WAL order.  A plan the BDR check rejects
-        # fails startup loudly rather than serving with a partial plan.
-        for contract in self._tenant_plan:
-            self._register_tenant(contract)
 
     def request_stop(self) -> None:
         """Ask :meth:`serve_until_stopped` to wind down (signal-safe)."""
@@ -326,7 +348,11 @@ class SchedulingServer:
         self._subscribers.clear()
         self.session.close()
         if self.journal is not None:
-            self.journal.append({"kind": "shutdown", "round": self.session.round})
+            if self.failure is None:
+                with suppress(JournalError):  # kept in self.failure
+                    self._journal_append(
+                        {"kind": "shutdown", "round": self.session.round}
+                    )
             self.journal.close()
         if self.spans is not None:
             self.spans.close()
@@ -337,9 +363,24 @@ class SchedulingServer:
             Path(self._temp_journal).unlink(missing_ok=True)
 
     async def serve_until_stopped(self) -> None:
-        """Run until :meth:`request_stop` (e.g. from a signal handler)."""
+        """Run until :meth:`request_stop` (e.g. from a signal handler) or
+        a journal failure."""
         await self._stopping.wait()
         await self.stop()
+
+    def _journal_append(self, record: dict, sync: bool = True) -> None:
+        """Append one journal record, fail-stop: a record the journal
+        refuses records :attr:`failure`, asks the server to stop and
+        raises :class:`JournalError`, so the caller commits nothing more."""
+        try:
+            self.journal.append(record, sync=sync)
+        except OSError as exc:
+            self.failure = JournalError(
+                f"journal {self.config.journal}: cannot append a "
+                f"{record['kind']} record: {exc}"
+            )
+            self._stopping.set()
+            raise self.failure from None
 
     # -- the round clock -------------------------------------------------------
 
@@ -378,22 +419,23 @@ class SchedulingServer:
                                 uid=uid,
                             )
             if self.journal is not None:
-                # Flushed, not fsynced: worker failover only needs the
+                # Written, not fsynced: worker failover only needs the
                 # record visible to a replaying child on this machine,
                 # and the next fsynced submit intent lands it durably.
-                self.journal.append(round_record(result), sync=False)
+                self._journal_append(round_record(result), sync=False)
             frames.append({"type": "result", **result})
         return frames
 
     async def _timer_clock(self) -> None:
-        cfg = self.config
-        try:
-            while True:
-                await asyncio.sleep(cfg.round_interval)
-                for frame in self._tick_rounds(1):
-                    self._broadcast(frame)
-        except asyncio.CancelledError:
-            raise
+        while True:
+            await asyncio.sleep(self.config.round_interval)
+            try:
+                frames = self._tick_rounds(1)
+            except JournalError as exc:
+                self._broadcast(_journal_failed_frame(exc))
+                return
+            for frame in frames:
+                self._broadcast(frame)
 
     def _broadcast(self, frame: dict) -> None:
         payload = encode_frame(frame)
@@ -514,6 +556,8 @@ class SchedulingServer:
         commit, or concurrent clients could interleave half-admitted
         batches.
         """
+        if self.failure is not None:
+            raise self.failure
         kind = frame["type"]
         telem = self.telemetry
         if telem.enabled:
@@ -598,7 +642,7 @@ class SchedulingServer:
         """
         self.session.tenants.check(contract)
         if self.journal is not None:
-            self.journal.append(tenant_record(contract.to_dict()), sync=True)
+            self._journal_append(tenant_record(contract.to_dict()))
         placement = self.session.register_tenant(contract)
         if self.telemetry.enabled:
             self.telemetry.gauge(
@@ -661,15 +705,17 @@ class SchedulingServer:
                 "reason": exc.code,
                 "message": str(exc),
             }
-        # Every submit that reaches the session gets a trace id — minted
-        # from a plain receipt counter, so trace ids are deterministic
-        # for a deterministic client (never wall-clock or random).
-        self._trace_seq += 1
-        trace = mint_trace_id(self._trace_seq)
-        root_id = f"{trace}/submit"
+        # Under --spans, every submit that reaches the session gets a
+        # trace id — minted from a plain receipt counter, so trace ids are
+        # deterministic for a deterministic client (never wall-clock or
+        # random).
+        if self.spans is not None:
+            self._trace_seq += 1
+            trace = mint_trace_id(self._trace_seq)
+            root_id = f"{trace}/submit"
         submit_round = self.session.round
         try:
-            self.session.validate(jobs, trace=trace)
+            admission = self.session.validate(jobs)
         except AdmissionError as exc:
             elapsed = perf_counter() - t0
             self._admission_window.append(elapsed)
@@ -701,87 +747,54 @@ class SchedulingServer:
         # job counters) sees only the kept jobs, so the journal replays
         # shed-free and compliant tenants' state is exactly what it would
         # be had the shed jobs never been submitted.
-        directory = self.session.tenants
-        shed = list(self.session.last_shed)
-        kept: Sequence[Job] = (
-            jobs if directory.empty else list(self.session.last_kept)
-        )
-        if not directory.empty:
-            submitted_by: dict[str, int] = {}
-            for job in jobs:
-                tenant = directory.tenant_of(job.color)
-                if tenant is not None:
-                    submitted_by[tenant] = submitted_by.get(tenant, 0) + 1
-            shed_by: dict[str, int] = {}
-            for entry in shed:
-                shed_by[entry["tenant"]] = shed_by.get(entry["tenant"], 0) + 1
-            for tenant in sorted(submitted_by):
-                lost = shed_by.get(tenant, 0)
-                directory.note(
-                    tenant,
-                    submitted=submitted_by[tenant],
-                    admitted=submitted_by[tenant] - lost,
-                    shed=lost,
-                )
-                if telem.enabled:
-                    telem.count(
-                        "repro_serve_tenant_submitted_total",
-                        submitted_by[tenant],
-                        tenant=tenant,
-                    )
-                    telem.count(
-                        "repro_serve_tenant_admitted_total",
-                        submitted_by[tenant] - lost,
-                        tenant=tenant,
-                    )
-                    if lost:
-                        telem.count(
-                            "repro_serve_tenant_shed_total", lost, tenant=tenant
-                        )
+        kept = admission.kept
         if self.spans is not None:
-            # One admit span per voting shard; the trace id each vote
-            # carries made the round trip through the admission path.
-            for vote in self.session.last_admission_votes:
+            for sid in sorted(admission.slices):
                 self._span(
-                    vote.get("trace") or trace,
-                    "admit",
-                    parent=root_id,
-                    shard=vote["shard"],
-                    jobs=vote["jobs"],
-                    verdict=vote["verdict"],
+                    trace, "admit", parent=root_id, shard=sid,
+                    jobs=len(admission.slices[sid]), verdict="ok",
                 )
         # Write-ahead: the fsynced intent plus its commit marker are on
         # disk *before* the commit touches any shard, so a crash at any
         # point either loses an unacknowledged batch entirely (no
         # marker) or replays it exactly once — never silently drops an
-        # admitted one.
+        # admitted one.  A record the journal refuses stops the server
+        # before the commit (fail-stop).
         self._submit_seq += 1
         if self.journal is not None:
             tj = perf_counter()
-            self.journal.append(
-                submit_record(
-                    self._submit_seq, self.session.round, kept, trace=trace
-                ),
-                sync=True,
+            self._journal_append(
+                submit_record(self._submit_seq, self.session.round, kept)
             )
             if self.spans is not None:
                 self._span(
                     trace, "wal.intent", parent=root_id,
                     seq=self._submit_seq, wall_ms=(perf_counter() - tj) * 1e3,
                 )
-            self.journal.append(
-                commit_record(self._submit_seq, trace=trace), sync=False
-            )
+            self._journal_append(commit_record(self._submit_seq), sync=False)
             if self.spans is not None:
                 self._span(
                     trace, "wal.commit", parent=root_id, seq=self._submit_seq
                 )
-        self.session.commit(kept)
+        self.session.commit(admission)
         elapsed = perf_counter() - t0
         self._admission_window.append(elapsed)
         if telem.enabled:
             telem.count("repro_serve_jobs_total", len(kept))
             telem.observe("repro_serve_admission_seconds", elapsed)
+            for tenant, (submitted, lost) in admission.tallies.items():
+                telem.count(
+                    "repro_serve_tenant_submitted_total", submitted,
+                    tenant=tenant,
+                )
+                telem.count(
+                    "repro_serve_tenant_admitted_total", submitted - lost,
+                    tenant=tenant,
+                )
+                if lost:
+                    telem.count(
+                        "repro_serve_tenant_shed_total", lost, tenant=tenant
+                    )
         if self.spans is not None:
             self._span(
                 trace, "commit", parent=root_id, round=self.session.round,
@@ -799,11 +812,11 @@ class SchedulingServer:
             "count": len(kept),
             "round": self.session.round,
         }
-        if not directory.empty:
+        if not self.session.tenants.empty:
             # Additive fields, emitted only when tenants exist: a
             # tenant-free server's accept frames stay byte-identical.
-            reply["shed"] = len(shed)
-            reply["shed_uids"] = [entry["uid"] for entry in shed]
+            reply["shed"] = len(admission.shed)
+            reply["shed_uids"] = [entry["uid"] for entry in admission.shed]
         return reply
 
     async def _handle_client(
@@ -864,6 +877,10 @@ class SchedulingServer:
                     continue
                 try:
                     replies, keep_open = self._handle_frame(frame, writer)
+                except JournalError as exc:
+                    # The server is stopping: answer, then hang up.
+                    replies = [_journal_failed_frame(exc)]
+                    keep_open = False
                 except RuntimeError as exc:
                     # A failed worker session (shard unavailable past its
                     # retry budget) poisons every further op; tell the
@@ -963,6 +980,10 @@ class SchedulingServer:
                 pass
 
 
+def _journal_failed_frame(exc: JournalError) -> dict:
+    return {"type": "error", "code": "journal_failed", "message": str(exc)}
+
+
 async def _serve_async(config: ServeConfig, quiet: bool = False) -> int:
     server = SchedulingServer(config)
     await server.start()
@@ -985,11 +1006,14 @@ async def _serve_async(config: ServeConfig, quiet: bool = False) -> int:
             flush=True,
         )
     await server.serve_until_stopped()
+    if server.failure is not None:
+        raise server.failure
     if not quiet:
         print("repro serve: stopped", flush=True)
     return 0
 
 
 def serve_forever(config: ServeConfig, quiet: bool = False) -> int:
-    """Blocking entry point used by ``repro serve``."""
+    """Blocking entry point used by ``repro serve``; raises ``OSError``
+    when a listener or the journal (:class:`JournalError`) fails."""
     return asyncio.run(_serve_async(config, quiet=quiet))

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from repro.core.bdr import exact_fraction
@@ -46,6 +47,7 @@ from repro.serve.tenants import (
 from repro.telemetry.recorder import Recorder, TelemetryRecorder, get_recorder
 
 __all__ = [
+    "Admission",
     "AdmissionError",
     "AdmissionGate",
     "SessionShard",
@@ -109,6 +111,18 @@ class AdmissionError(ValueError):
         super().__init__(message)
         self.reason = reason
         self.index = index
+
+
+@dataclass(frozen=True)
+class Admission:
+    """The verdict :meth:`AdmissionGate.validate` returns and
+    :meth:`AdmissionGate.commit` applies."""
+
+    kept: list[Job]  # the jobs tenant shedding kept, in batch order
+    shed: list[dict]  # {"index", "uid", "tenant"} per shed job, by index
+    slices: dict[int, list[Job]]  # kept jobs per shard, first-seen order
+    uids: set[int]  # the kept jobs' uids
+    tallies: dict[str, tuple[int, int]]  # tenant -> (submitted, shed)
 
 
 class SessionShard:
@@ -231,10 +245,6 @@ class AdmissionGate:
         self._in_flight = [0] * len(self._lives)
         self._seen_uids: set[int] = set()
         self._closed = False
-        #: what the last successful validate computed for commit: the
-        #: shard id of each kept job, in batch order, and the kept jobs'
-        #: uids; None once committed (or after a failed validate).
-        self._validated: tuple[list[int], set[int]] | None = None
         #: registration-time tenant admission (BDR composition against the
         #: shard capacities) plus per-tenant counters.
         self.tenants = TenantDirectory(
@@ -244,17 +254,6 @@ class AdmissionGate:
             delta=exact_fraction(delta),
         )
         self._meters = [ShardTenantMeter() for _ in self._lives]
-        #: jobs shed from the last successful validate
-        #: (``{"index", "uid", "tenant"}``, sorted by batch index) and the
-        #: jobs that survived it, in batch order.  With no tenants
-        #: registered, ``last_shed`` is always empty and ``last_kept`` is
-        #: the batch itself.
-        self.last_shed: list[dict] = []
-        self.last_kept: list[Job] = []
-        #: per-shard admission votes from the last successful validate
-        #: (``{"shard", "verdict", "jobs", "trace"}``); the server turns
-        #: these into ``admit`` spans.  Purely observational.
-        self.last_admission_votes: list[dict] = []
         #: per-shard result parts from the last tick, keyed by shard id;
         #: the server turns these into ``execute``/``drop`` spans with
         #: shard coordinates the merged result frame no longer carries.
@@ -277,55 +276,52 @@ class AdmissionGate:
     def closed(self) -> bool:
         return self._closed
 
-    def validate(self, jobs: Sequence[Job], trace: str | None = None) -> None:
+    def validate(self, jobs: Sequence[Job]) -> Admission:
         """Phase 1 of admission: check every rule, touch no state.
 
-        Raises :class:`AdmissionError` on the first violation (lowest
+        Returns the :class:`Admission` that :meth:`commit` applies, or
+        raises :class:`AdmissionError` on the first violation (lowest
         batch index; for one index, sequence rules beat batch-bound
-        consistency beat duplicate detection).  A batch that validates
-        cleanly is guaranteed to :meth:`commit` — the split exists so
-        the server can write the journal intent between the two phases.
+        consistency beat duplicate detection).  The split exists so the
+        server can write the journal intent between the two phases.
 
         One batch-wide test clears most batches without visiting each
         job (:meth:`_all_clear`); when it cannot, the per-job loop
         decides, so every per-job refusal is raised there, with its index.
 
-        ``trace`` is an opaque request id threaded through for span
-        tracing; it never influences any admission decision.
-
         With tenants registered, per-tenant shedding runs *first*: jobs an
-        over-rate tenant cannot afford are recorded in ``last_shed`` (pure
-        bucket simulation — nothing is debited until commit) and every
-        admission rule then runs on the surviving jobs only, so a
-        compliant tenant's outcome is independent of any other tenant's
-        flood.  ``last_kept`` holds the survivors in batch order; callers
-        must commit exactly that list.
+        over-rate tenant cannot afford are shed (pure bucket simulation —
+        nothing is debited until commit) and every admission rule then
+        runs on the kept jobs only, so a compliant tenant's outcome is
+        independent of any other tenant's flood.
         """
-        self.last_admission_votes = []
-        self.last_shed = []
-        self.last_kept = list(jobs)
-        self._validated = None
         if self._closed:
             raise AdmissionError("closed", "session is closed")
+        kept = list(jobs)
         num = len(self._lives)
         if num == 1:
-            sids = [0] * len(self.last_kept)
+            sids = [0] * len(kept)
         else:
-            sids = [shard_of(job.color, num) for job in self.last_kept]
-        indexed: Iterable[tuple[int, Job]] = enumerate(self.last_kept)
+            sids = [shard_of(job.color, num) for job in kept]
+        indexed: Iterable[tuple[int, Job]] = enumerate(kept)
+        shed: list[dict] = []
+        tallies: dict[str, tuple[int, int]] = {}
         if not self.tenants.empty:
-            indexed = self._plan_sheds(sids)
+            indexed, shed, tallies = self._plan_sheds(kept, sids)
+            kept = [job for _, job in indexed]
             sids = [sids[index] for index, _ in indexed]
-        uids = self._all_clear(self.last_kept)
+        uids = self._all_clear(kept)
         if uids is None:
             uids = self._check_each(indexed, sids)
+        slices: dict[int, list[Job]] = {}
         if num == 1:
-            load = {0: len(sids)} if sids else {}
+            if kept:
+                slices[0] = kept
         else:
-            # Shards in order of first appearance in the batch.
-            load = Counter(sids)
-        for shard_id, extra in load.items():
-            held = self._in_flight[shard_id] + extra
+            for sid, job in zip(sids, kept):
+                slices.setdefault(sid, []).append(job)
+        for shard_id, part in slices.items():
+            held = self._in_flight[shard_id] + len(part)
             if held > self.max_pending:
                 raise AdmissionError(
                     "backpressure",
@@ -333,11 +329,7 @@ class AdmissionGate:
                     f"in-flight jobs (limit {self.max_pending}); retry after "
                     f"ticking",
                 )
-        self.last_admission_votes = [
-            {"shard": sid, "verdict": "ok", "jobs": load[sid], "trace": trace}
-            for sid in sorted(load)
-        ]
-        self._validated = (sids, uids)
+        return Admission(kept, shed, slices, uids, tallies)
 
     def _all_clear(self, jobs: list[Job]) -> set[int] | None:
         """The uids of ``jobs`` if no per-job rule can refuse any of them,
@@ -401,13 +393,15 @@ class AdmissionGate:
             batch_uids.add(job.uid)
         return batch_uids
 
-    def _plan_sheds(self, sids: list[int]) -> list[tuple[int, Job]]:
-        """Per-shard, per-tenant shed planning (pure) over ``last_kept``,
-        whose jobs live on shards ``sids``.  Fills ``last_shed`` and
-        ``last_kept`` and returns the surviving (index, job) pairs in
-        batch order."""
+    def _plan_sheds(
+        self, jobs: list[Job], sids: list[int]
+    ) -> tuple[list[tuple[int, Job]], list[dict], dict[str, tuple[int, int]]]:
+        """Per-shard, per-tenant shed planning (pure) over ``jobs``, which
+        live on shards ``sids``.  Returns the kept (index, job) pairs in
+        batch order, the shed entries by batch index, and each tenant's
+        ``(submitted, shed)`` counts in tenant-name order."""
         per_shard: dict[int, list[tuple[int, Job]]] = {}
-        for index, (job, sid) in enumerate(zip(self.last_kept, sids)):
+        for index, (job, sid) in enumerate(zip(jobs, sids)):
             per_shard.setdefault(sid, []).append((index, job))
         kept: list[tuple[int, Job]] = []
         shed: list[dict] = []
@@ -417,45 +411,34 @@ class AdmissionGate:
             shed.extend(shard_shed)
         kept.sort(key=lambda pair: pair[0])
         shed.sort(key=lambda entry: entry["index"])
-        self.last_shed = shed
-        self.last_kept = [job for _, job in kept]
-        return kept
+        submitted = Counter([self.tenants.tenant_of(job.color) for job in jobs])
+        del submitted[None]  # unmetered colors
+        lost = Counter([entry["tenant"] for entry in shed])
+        tallies = {t: (submitted[t], lost[t]) for t in sorted(submitted)}
+        return kept, shed, tallies
 
-    def commit(self, jobs: Sequence[Job]) -> dict[int, list[Job]]:
-        """Phase 2 of admission: buffer a *validated* batch on its shards.
+    def commit(self, admission: Admission) -> None:
+        """Phase 2 of admission: buffer a validated batch on its shards.
 
-        Preserves batch order within each shard: each shard's slice goes
-        in with one :meth:`LiveSequence.push_checked
-        <repro.core.live.LiveSequence.push_checked>`, routed by the shard
-        ids :meth:`validate` computed, so no job is checked or hashed
-        twice.  Callers must have run :meth:`validate` on exactly this
-        batch with no mutation in between — with tenants registered that
-        means committing ``last_kept``, not the raw batch; commit itself
-        cannot fail.
-        Tenant buckets are debited here (never during validation), so a
-        batch another rule rejects leaves the meters untouched.  Returns
-        the per-shard slices, in order of first appearance.
+        ``admission`` must come from :meth:`validate` with no session
+        mutation in between (the server's synchronous frame handler
+        guarantees this); commit itself cannot fail.  Each shard's slice
+        goes in with one :meth:`LiveSequence.push_checked
+        <repro.core.live.LiveSequence.push_checked>`, in batch order, so
+        no job is checked or hashed twice.  Tenant buckets are debited
+        and the tenants' tallies noted here (never during validation), so
+        a batch another rule rejects leaves the meters and counters
+        untouched.
         """
-        if self._validated is None:
-            raise RuntimeError("commit without a matching validate")
-        (sids, uids), self._validated = self._validated, None
-        if len(sids) != len(jobs):
-            raise RuntimeError("commit batch does not match validated batch")
-        slices: dict[int, list[Job]] = {}
-        if len(self._lives) == 1:
-            if jobs:
-                slices[0] = list(jobs)
-        else:
-            for sid, job in zip(sids, jobs):
-                slices.setdefault(sid, []).append(job)
         metered = not self.tenants.empty
-        for sid, part in slices.items():
+        for sid, part in admission.slices.items():
             self._lives[sid].push_checked(part)
             self._in_flight[sid] += len(part)
             if metered:
                 self._meters[sid].debit(part)
-        self._seen_uids |= uids
-        return slices
+        self._seen_uids |= admission.uids
+        for tenant, (submitted, shed) in admission.tallies.items():
+            self.tenants.note(tenant, submitted, shed)
 
     def submit(self, jobs: Sequence[Job]) -> list[dict]:
         """Admit a batch atomically; raises :class:`AdmissionError`.
@@ -465,9 +448,9 @@ class AdmissionGate:
         replay verification impossible.  Returns the shed list (empty with
         no tenants registered).
         """
-        self.validate(jobs)
-        self.commit(self.last_kept)
-        return self.last_shed
+        admission = self.validate(jobs)
+        self.commit(admission)
+        return admission.shed
 
     def register_tenant(self, contract: TenantContract) -> list[dict]:
         """Admit a tenant against the shard BDR interfaces and install its

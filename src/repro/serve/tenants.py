@@ -247,9 +247,6 @@ class ShardTenantMeter:
         for color in colors:
             self._color_tenant[color] = name
 
-    def tenant_of(self, color: Color) -> str | None:
-        return self._color_tenant.get(color)
-
     def tokens(self) -> dict[str, Fraction]:
         return dict(self._tokens)
 
@@ -407,12 +404,11 @@ class TenantDirectory:
         self._counters[contract.name] = _TenantCounters()
         return placement
 
-    def note(self, name: str, submitted: int = 0, admitted: int = 0, shed: int = 0) -> None:
-        counters = self._counters.get(name)
-        if counters is None:
-            return
+    def note(self, name: str, submitted: int, shed: int) -> None:
+        """Count one committed batch's jobs of tenant ``name``."""
+        counters = self._counters[name]
         counters.submitted += submitted
-        counters.admitted += admitted
+        counters.admitted += submitted - shed
         counters.shed += shed
 
     def stats(self) -> list[dict]:

@@ -55,7 +55,12 @@ from repro.core.job import Job
 from repro.core.live import LiveSequence
 from repro.policies import make_policy
 from repro.serve.journal import read_records, replay_shard
-from repro.serve.session import AdmissionGate, SessionShard, split_capacity
+from repro.serve.session import (
+    Admission,
+    AdmissionGate,
+    SessionShard,
+    split_capacity,
+)
 from repro.telemetry.recorder import (
     Recorder,
     TelemetryRecorder,
@@ -422,27 +427,25 @@ class WorkerShardedSession(AdmissionGate):
 
     # -- the ShardedSession surface --------------------------------------------
 
-    def validate(self, jobs: Sequence[Job], trace: str | None = None) -> None:
+    def validate(self, jobs: Sequence[Job]) -> Admission:
         """:meth:`AdmissionGate.validate
         <repro.serve.session.AdmissionGate.validate>`, refused once the
         session has failed."""
         self._check_usable()
-        super().validate(jobs, trace)
+        return super().validate(jobs)
 
-    def commit(self, jobs: Sequence[Job]) -> None:
-        """Phase 2: commit the batch :meth:`validate` just cleared.
+    def commit(self, admission: Admission) -> None:
+        """Phase 2: commit the :class:`Admission` :meth:`validate` returned.
 
-        Must follow a successful ``validate`` of the same batch with no
-        session mutation in between (the server's synchronous frame
-        handler guarantees this).  The frontend mirrors take the batch,
-        then each target worker gets its slice as one one-way ``commit``
-        message.  A send that fails means the worker died; its respawn
-        replays the batch from the journal, so nothing is re-sent.
+        The frontend mirrors take the batch, then each target worker gets
+        its slice as one one-way ``commit`` message.  A send that fails
+        means the worker died; its respawn replays the batch from the
+        journal, so nothing is re-sent.
         """
         self._check_usable()
-        slices = super().commit(jobs)
+        super().commit(admission)
         self._seq += 1
-        for sid, part in slices.items():
+        for sid, part in admission.slices.items():
             wk = self._workers[sid]
             try:
                 wk.worker.conn.send((
@@ -455,7 +458,7 @@ class WorkerShardedSession(AdmissionGate):
                 ))
             except (BrokenPipeError, OSError, ValueError):
                 self._recover(wk, "commit", {})
-        if jobs and self.telemetry.enabled:
+        if admission.kept and self.telemetry.enabled:
             self.telemetry.count("repro_serve_worker_commits_total")
 
     def tick(self) -> dict:

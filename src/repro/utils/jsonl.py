@@ -5,10 +5,10 @@
   repo is diffable with every other.  The span trace writer
   (:mod:`repro.telemetry.spans`) and the serve session journal both
   encode with it;
-- :class:`JsonlJournal` — the serve journal's append writer (one fsync
-  per record without re-opening the file each time).  The span writer
-  does not use it: it stays buffered, since a flush per span would add
-  a write per executed job.
+- :class:`JsonlJournal` — the serve journal's fail-stop append writer
+  (one write and fsync per record without re-opening the file).  The
+  span writer does not use it: it stays buffered, since a flush per span
+  would add a write per executed job.
 """
 
 from __future__ import annotations
@@ -62,57 +62,41 @@ def read_jsonl(path: str | os.PathLike) -> list[dict]:
 
 
 class JsonlJournal:
-    """An append-only JSONL journal with flush + fsync per record.
+    """An append-only JSONL journal with one write and fsync per record.
 
-    The file handle stays open (one ``write``/``flush``/``fsync`` per
-    record, no re-open), which is what a server emitting one record per
-    round needs.  Writes are best-effort: a failed append flips
-    :attr:`healthy` to False and returns False, it never raises into
-    the caller's hot path.
+    The file stays open and unbuffered: each record is one ``write`` of
+    its encoded line plus an ``fsync`` (no re-open), which is what a
+    server emitting one record per round needs.  It fails stop: an open
+    or an append the OS refuses raises ``OSError`` to the caller, and
+    nothing of a failed record is left in a buffer for a later append or
+    :meth:`close` to land behind the caller's back.
 
-    ``append(..., sync=False)`` flushes a record to the OS without forcing
+    ``append(..., sync=False)`` hands a record to the OS without forcing
     the disk write: the record survives a *process* kill — the page cache
     outlives the process, which is all worker-failover replay needs — but
     not an OS crash.  Any later synced append also durably lands every
-    earlier flushed record, since fsync covers the whole file.
+    earlier record, since fsync covers the whole file.
     """
 
     def __init__(self, path: str | os.PathLike, truncate: bool = False):
         self.path = Path(path)
-        self.records_written = 0
-        self.healthy = True
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = open(
-                self.path, "w" if truncate else "a", encoding="utf-8"
-            )
-        except OSError:
-            self._fh = None
-            self.healthy = False
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._fh = open(self.path, "wb" if truncate else "ab", buffering=0)
 
-    def append(self, record: Mapping, sync: bool = True) -> bool:
-        """Write one record (fsynced unless ``sync`` is False); False
-        (and unhealthy) on failure."""
-        if self._fh is None:
-            return False
-        try:
-            self._fh.write(json_line(record))
-            self._fh.flush()
-            if sync:
-                os.fsync(self._fh.fileno())
-            self.records_written += 1
-            return True
-        except (OSError, ValueError):
-            self.healthy = False
-            return False
+    def append(self, record: Mapping, sync: bool = True) -> None:
+        """Write one record (fsynced unless ``sync`` is False); raises
+        ``OSError`` if the OS does not take all of it."""
+        line = json_line(record).encode("utf-8")
+        written = self._fh.write(line)
+        if written != len(line):
+            raise OSError(
+                f"{self.path}: short write ({written} of {len(line)} bytes)"
+            )
+        if sync:
+            os.fsync(self._fh.fileno())
 
     def close(self) -> None:
-        if self._fh is not None:
-            try:
-                self._fh.close()
-            except OSError:
-                pass
-            self._fh = None
+        self._fh.close()
 
     def __enter__(self) -> "JsonlJournal":
         return self

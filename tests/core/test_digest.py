@@ -192,9 +192,9 @@ def held_by_drained_session(rounds: int) -> tuple[int, int]:
 class TestRetention:
     @pytest.mark.parametrize("rounds", [20, 80])  # about 10k and 40k jobs
     def test_session_holds_few_gc_tracked_objects_per_job(self, rounds):
-        # A one-round session holds the per-color policy and pool state
-        # and its last admitted batch (``last_kept``); what a longer
-        # session holds beyond that, per extra job, is the retention.
+        # A one-round session holds the per-color policy and pool state;
+        # what a longer session holds beyond that, per extra job, is the
+        # retention.
         base_held, base_jobs = held_by_drained_session(1)
         held, submitted = held_by_drained_session(rounds)
         assert held - base_held < 0.1 * (submitted - base_jobs), (held, submitted)

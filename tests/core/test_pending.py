@@ -51,15 +51,6 @@ class TestPendingPool:
         pool.add(J(0, 2, 2))
         assert pool.earliest_deadline() == 4
 
-    def test_remove_arbitrary(self):
-        pool = PendingPool(0)
-        a, b = J(0, 0, 2), J(0, 0, 4)
-        pool.add(a)
-        pool.add(b)
-        pool.remove(a)
-        assert len(pool) == 1
-        assert pool.pop().uid == b.uid
-
     def test_drop_expired_only_due(self):
         pool = PendingPool(0)
         due = J(0, 0, 2)       # deadline 2
@@ -71,48 +62,22 @@ class TestPendingPool:
         assert len(pool) == 1
 
     def test_drop_expired_removed_jobs_not_counted(self):
+        # An executed job left the heap at once: the drop phase never
+        # sees it again.
         pool = PendingPool(0)
         job = J(0, 0, 2)
         pool.add(job)
-        pool.remove(job)
+        pool.pop()
         assert pool.drop_expired(2) == []
-
-    def test_remove_nonmember_raises(self):
-        # Regression: remove() used to decrement the live count without
-        # checking membership, silently corrupting idleness bookkeeping.
-        pool = PendingPool(0)
-        member = J(0, 0, 2)
-        stranger = J(0, 0, 2)
-        pool.add(member)
-        with pytest.raises(KeyError):
-            pool.remove(stranger)
-        assert len(pool) == 1
-        assert not pool.idle
-
-    def test_remove_twice_raises(self):
-        pool = PendingPool(0)
-        job = J(0, 0, 2)
-        pool.add(job)
-        pool.remove(job)
-        with pytest.raises(KeyError):
-            pool.remove(job)
-        assert len(pool) == 0
-        assert pool.idle
-
-    def test_remove_from_empty_pool_raises(self):
-        pool = PendingPool(0)
-        with pytest.raises(KeyError):
-            pool.remove(J(0, 0, 2))
-        assert pool.idle
 
     def test_contains_tracks_membership(self):
         pool = PendingPool(0)
         job = J(0, 0, 2)
-        assert job not in pool
+        assert job not in pool.pending_jobs()
         pool.add(job)
-        assert job in pool
+        assert job in pool.pending_jobs()
         pool.pop()
-        assert job not in pool
+        assert job not in pool.pending_jobs()
 
     def test_pending_jobs_snapshot_sorted(self):
         pool = PendingPool(0)
@@ -164,13 +129,6 @@ class TestPendingStore:
         assert {j.color for j in dropped} == {0, 1}
         assert store.pending_count() == 1
 
-    def test_all_pending_sorted_by_rank(self):
-        store = PendingStore()
-        store.add(J(0, 0, 8))
-        store.add(J(1, 0, 2))
-        ranked = store.all_pending()
-        assert [j.color for j in ranked] == [1, 0]
-
 
 #: store operations: jobs arrive at most three rounds after the clock with
 #: per-job delay bounds (so a newer job can become its pool's head), the
@@ -182,7 +140,6 @@ store_ops = st.lists(
             st.sampled_from([1, 2, 3, 5, 8]),
         ),
         st.tuples(st.just("execute"), st.integers(0, 3)),
-        st.tuples(st.just("remove"), st.integers(0, 3), st.integers(0, 7)),
         st.tuples(st.just("drop"), st.integers(0, 3)),
     ),
     max_size=80,
@@ -219,12 +176,6 @@ def test_drop_phase_matches_a_walk_over_every_pool(ops):
                 change(color, jobs[1:])
             else:
                 assert got is None
-        elif kind == "remove":
-            jobs = model.get(color, [])
-            if jobs:
-                victim = jobs[op[2] % len(jobs)]
-                store.pool(color).remove(victim)
-                change(color, [j for j in jobs if j is not victim])
         else:
             now += op[1]
             expected = []

@@ -193,15 +193,14 @@ class TestWorkersParity:
             seq = 0
             for rnd, batch in enumerate(rounds_of(flood)):
                 jobs = [clone(j) for j in batch]
-                ws.validate(jobs)
-                oracle.validate([clone(j) for j in jobs])
-                assert ws.last_shed == oracle.last_shed
-                kept = ws.last_kept
+                live = ws.validate(jobs)
+                control = oracle.validate([clone(j) for j in jobs])
+                assert live == control
                 seq += 1
-                journal.append(submit_record(seq, ws.round, kept), sync=True)
+                journal.append(submit_record(seq, ws.round, live.kept), sync=True)
                 journal.append(commit_record(seq), sync=False)
-                ws.commit(kept)
-                oracle.commit(oracle.last_kept)
+                ws.commit(live)
+                oracle.commit(control)
                 if rnd == 20:
                     # Kill a worker mid-run: replay must rebuild the shard
                     # *and its token buckets* from the journal.

@@ -199,7 +199,7 @@ def datacenter_round_work():
     def counted_drop(pool, rnd):
         head = pool._heap[0]
         counts["drop_calls"] += 1
-        if head[0] > rnd and head[3] not in pool._done:
+        if head[0] > rnd:
             counts["drop_calls_without_work"] += 1
         return drop_expired(pool, rnd)
 

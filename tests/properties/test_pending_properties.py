@@ -12,7 +12,7 @@ def operations(draw):
     """A list of (op, arg) operations on one pool."""
     ops = []
     for _ in range(draw(st.integers(0, 40))):
-        op = draw(st.sampled_from(["add", "pop", "peek", "drop", "remove"]))
+        op = draw(st.sampled_from(["add", "pop", "peek", "drop"]))
         if op == "add":
             arrival = draw(st.integers(0, 20))
             bound = draw(st.sampled_from([1, 2, 4, 8]))
@@ -48,10 +48,6 @@ def test_pool_matches_sorted_list_model(ops):
                 assert pool.peek().uid == model[0].uid
             else:
                 assert pool.peek() is None
-        elif op == "remove":
-            if model:
-                victim = model.pop(len(model) // 2)
-                pool.remove(victim)
         elif op == "drop":
             rnd = arg
             expected = sorted(

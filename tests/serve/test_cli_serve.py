@@ -8,6 +8,7 @@ verification, then SIGTERM and expect a clean zero exit.
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -259,7 +260,50 @@ class TestObservabilityCli:
             main(["spans", str(bogus)])
 
 
+def serve_fails(*args):
+    """Run ``repro serve ARGS --quiet`` to its exit; returns (status,
+    stderr lines)."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "serve", *args, "--quiet"],
+        env=serve_env(), cwd=REPO, capture_output=True, text=True, timeout=60,
+    )
+    return proc.returncode, proc.stderr.splitlines()
+
+
 class TestServeConfigErrors:
+    @pytest.mark.parametrize("workers", [[], ["--workers"]], ids=["in-process", "workers"])
+    def test_unopenable_journal_is_one_line(self, tmp_path, workers):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        journal = blocker / "j.jsonl"  # its parent is a regular file
+        status, err = serve_fails("--journal", str(journal), *workers)
+        assert status == 1
+        assert len(err) == 1, err
+        assert err[0].startswith(f"repro serve: cannot open journal {journal}: ")
+
+    @pytest.mark.parametrize("flag", ["--port", "--metrics-port"])
+    def test_busy_port_is_one_line(self, tmp_path, flag):
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            port = busy.getsockname()[1]
+            status, err = serve_fails(flag, str(port), "--journal", str(tmp_path / "j.jsonl"))
+        assert status == 1
+        assert len(err) == 1, err
+        assert err[0].startswith("repro serve: ") and str(port) in err[0]
+        # The server stopped cleanly behind the failed bind.
+        kinds = [json.loads(line)["kind"] for line in (tmp_path / "j.jsonl").read_text().splitlines()]
+        assert kinds == ["header", "shutdown"]
+
+    @pytest.mark.parametrize("args, message", [
+        (["--clock", "timer", "--round-interval", "0"], "round_interval must be positive"),
+        (["--idle-timeout", "-1"], "idle_timeout must be >= 0"),
+        (["--worker-timeout", "0"], "worker_timeout must be positive"),
+    ])
+    def test_bad_option_value_is_a_clean_error(self, args, message):
+        with pytest.raises(SystemExit, match=f"^repro serve: {message}"):
+            main(["serve", *args, "--quiet"])
+
     def test_bad_shard_split_is_a_clean_error(self):
         # 17 resources over 3 shards gives dlru-edf a capacity it rejects;
         # the CLI must turn that into a SystemExit, not a traceback.

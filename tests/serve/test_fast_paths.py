@@ -265,10 +265,10 @@ def sessions_and_batches(draw):
 
 def _verdict(validate, session, batch):
     try:
-        validate(session, batch)
+        admission = validate(session, batch)
     except AdmissionError as exc:
         return ("reject", exc.reason, exc.index, str(exc))
-    return ("ok",)
+    return ("ok", admission)
 
 
 def _live_state(live: LiveSequence):
@@ -288,17 +288,20 @@ class TestAdmissionMatchesReference:
         session, batch = case
         expected = _verdict(reference_validate, session, batch)
         got = _verdict(ShardedSession.validate, session, batch)
-        assert got == expected
+        assert got[0] == expected[0]
         if got[0] == "ok":
-            assert session.last_kept == batch
-            load: dict[int, int] = {}
+            admission = got[1]
+            assert admission.kept == batch
+            assert admission.shed == []
+            assert admission.tallies == {}
+            assert admission.uids == {job.uid for job in batch}
+            slices: dict[int, list[Job]] = {}
             for job in batch:
-                sid = shard_of(job.color, session.num_shards)
-                load[sid] = load.get(sid, 0) + 1
-            assert session.last_admission_votes == [
-                {"shard": sid, "verdict": "ok", "jobs": load[sid], "trace": None}
-                for sid in sorted(load)
-            ]
+                slices.setdefault(shard_of(job.color, session.num_shards), []).append(job)
+            assert admission.slices == slices
+            assert list(admission.slices) == list(slices)  # first appearance
+        else:
+            assert got == expected
 
     @pytest.mark.parametrize("reason, index, batch", [
         ("stale_round", 1, [Job("a", 2, 2, uid=1), Job("b", 1, 2, uid=2)]),
@@ -326,13 +329,13 @@ class TestAdmissionMatchesReference:
     def test_commit_equals_per_job_pushes(self, case):
         session, batch = case
         try:
-            session.validate(batch)
+            admission = session.validate(batch)
         except AdmissionError:
             return
         expected = [copy.deepcopy(shard.live) for shard in session.shards]
         for job in batch:
             reference_push(expected[shard_of(job.color, session.num_shards)], job)
-        session.commit(batch)
+        session.commit(admission)
         for ref, shard in zip(expected, session.shards):
             assert _live_state(shard.live) == _live_state(ref)
         assert all(job.uid in session._seen_uids for job in batch)

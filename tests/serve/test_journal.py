@@ -9,6 +9,8 @@ marker made it to disk is admitted exactly once, never twice, never
 half.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from repro.core.job import Job
@@ -21,8 +23,10 @@ from repro.serve.journal import (
     replay_shard,
     round_record,
     submit_record,
+    tenant_record,
 )
 from repro.serve.session import SessionShard, ShardedSession
+from repro.serve.tenants import TenantContract
 from repro.utils.jsonl import JsonlJournal
 
 
@@ -51,11 +55,11 @@ def drive(journal, session, batches_per_round=2, rounds=3):
                 for i in range(3)
             ]
             uid += len(jobs)
-            session.validate(jobs)
+            admission = session.validate(jobs)
             seq += 1
             journal.append(submit_record(seq, session.round, jobs), sync=True)
             journal.append(commit_record(seq), sync=False)
-            session.commit(jobs)
+            session.commit(admission)
         journal.append(round_record(session.tick()), sync=False)
 
 
@@ -92,19 +96,6 @@ class TestReplayOps:
         assert [op for op, _ in ops] == ["submit", "round"]
         (replayed,) = ops[0][1]
         assert (replayed.color, replayed.arrival, replayed.uid) == ("a", 0, 1)
-
-    def test_v1_submit_without_seq_counts_as_marked(self):
-        # v1 journals wrote submits only after commit, so a seq-less
-        # submit record is an admitted batch by construction.
-        records = [
-            {
-                "kind": "submit",
-                "jobs": [{"color": "a", "arrival": 0, "delay_bound": 2}],
-            },
-            {"kind": "round", "round": 0, "executed": []},
-        ]
-        ops = replay_ops(records)
-        assert [op for op, _ in ops] == ["submit", "round"]
 
     def test_marker_order_does_not_matter_to_marking(self):
         # A marker that raced ahead in the file still marks its seq:
@@ -176,6 +167,34 @@ class TestReplayEquivalence:
         assert stepped == 3
         assert rebuilt.round == original.round
         assert rebuilt.stats() == original.stats()
+        assert session_digests(rebuilt) == session_digests(original)
+
+    def test_replay_session_rebuilds_tenant_admitted_counts(self, tmp_path):
+        # The journal holds only admitted jobs, so the rebuilt counters
+        # count them as submitted and admitted, with nothing shed.
+        path = tmp_path / "journal.jsonl"
+        contract = TenantContract(
+            name="t", colors=("c0", "c1"), rate=Fraction(1), delay_bound=3, burst=2,
+        )
+        original = make_session()
+        with JsonlJournal(str(path), truncate=True) as journal:
+            journal.append(tenant_record(contract.to_dict()))
+            original.register_tenant(contract)
+            for r in range(4):
+                jobs = [Job(color=f"c{i % 3}", arrival=r, delay_bound=3) for i in range(6)]
+                admission = original.validate(jobs)
+                journal.append(submit_record(r + 1, original.round, admission.kept))
+                journal.append(commit_record(r + 1), sync=False)
+                original.commit(admission)
+                journal.append(round_record(original.tick()), sync=False)
+        rebuilt = make_session()
+        replay_session(read_records(path), rebuilt)
+        (live,) = original.tenant_stats()
+        (replayed,) = rebuilt.tenant_stats()
+        assert live["shed"] > 0
+        assert replayed["admitted"] == replayed["submitted"] == live["admitted"]
+        assert replayed["shed"] == 0
+        assert [m.tokens() for m in rebuilt._meters] == [m.tokens() for m in original._meters]
         assert session_digests(rebuilt) == session_digests(original)
 
     def test_replay_shard_matches_replay_session_per_shard(self, tmp_path):

@@ -1,5 +1,6 @@
 """Sharding, capacity splits, and atomic admission control."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -291,7 +292,7 @@ def model_admission(s: ShardedSession, batch: list[Job]):
     order against the session's state: each shard's live sequence and
     pending count, and the seen uids.
     Returns ``("reject", reason, index, message)`` or ``("ok", kept uids,
-    shed entries, {shard: kept uids})``.
+    shed entries, {shard: kept uids}, {tenant: (submitted, shed)})``.
     """
     if s.closed:
         return ("reject", "closed", None, "session is closed")
@@ -340,7 +341,13 @@ def model_admission(s: ShardedSession, batch: list[Job]):
             return ("reject", "backpressure", None,
                     f"shard {sid} would hold {held} in-flight jobs "
                     f"(limit {s.max_pending}); retry after ticking")
-    return ("ok", [job.uid for _, job in indexed], shed, slices)
+    submitted = Counter(
+        tenant for tenant in map(s.tenants.tenant_of, (job.color for job in batch))
+        if tenant is not None
+    )
+    lost = Counter(entry["tenant"] for entry in shed)
+    tallies = {tenant: (submitted[tenant], lost[tenant]) for tenant in sorted(submitted)}
+    return ("ok", [job.uid for _, job in indexed], shed, slices, tallies)
 
 
 #: 1, 1.0 and True are one color to a dict but route as three labels; on
@@ -391,17 +398,20 @@ def admission_cases(draw):
     return s, [job() for _ in range(draw(st.integers(0, 10)))]
 
 
+def tenant_counts(s: ShardedSession) -> dict[str, tuple[int, int, int]]:
+    return {t["name"]: (t["submitted"], t["admitted"], t["shed"]) for t in s.tenant_stats()}
+
+
 def _admit(s: ShardedSession, batch: list[Job]):
     try:
-        s.validate(batch)
+        admission = s.validate(batch)
     except AdmissionError as exc:
         return ("reject", exc.reason, exc.index, str(exc))
-    votes = {vote["shard"]: vote["jobs"] for vote in s.last_admission_votes}
-    kept = [job.uid for job in s.last_kept]
-    shed = list(s.last_shed)
-    slices = s.commit(s.last_kept)
-    assert votes == {sid: len(part) for sid, part in slices.items()}
-    return ("ok", kept, shed, {sid: [job.uid for job in part] for sid, part in slices.items()})
+    s.commit(admission)
+    assert admission.uids == {job.uid for job in admission.kept}
+    return ("ok", [job.uid for job in admission.kept], admission.shed,
+            {sid: [job.uid for job in part] for sid, part in admission.slices.items()},
+            admission.tallies)
 
 
 class TestAdmissionMatchesPerJobModel:
@@ -411,12 +421,18 @@ class TestAdmissionMatchesPerJobModel:
         s, batch = case
         expected = model_admission(s, batch)
         before = [shard.pending for shard in s.shards]
+        noted = tenant_counts(s)
         assert _admit(s, batch) == expected
         if expected[0] == "ok":
             for sid, shard in enumerate(s.shards):
                 assert shard.pending == before[sid] + len(expected[3].get(sid, []))
                 assert s._in_flight[sid] == shard.pending
             assert set(expected[1]) <= s._seen_uids
+            for tenant, (submitted, shed) in expected[4].items():
+                noted[tenant] = tuple(
+                    a + b for a, b in zip(noted[tenant], (submitted, submitted - shed, shed))
+                )
+        assert tenant_counts(s) == noted
 
     @pytest.mark.parametrize("shards", [1, 2])
     @pytest.mark.parametrize("reason, index, batch", [
@@ -447,7 +463,7 @@ class TestAdmissionMatchesPerJobModel:
         s.submit([J(4.0, 0, 3, uid=1)])
         batch = [J(4, 0, 2, uid=2)]
         expected = model_admission(s, batch)
-        assert expected == ("ok", [2], [], {shard_of(4, 2): [2]})
+        assert expected == ("ok", [2], [], {shard_of(4, 2): [2]}, {})
         assert _admit(s, batch) == expected
 
 

@@ -217,9 +217,11 @@ class TestSessionShedding:
         s = self.session()
         s.register_tenant(contract(name="t", colors=("a",), rate=1, burst=1, delay_bound=8))
         batch = [self.job("a") for _ in range(4)] + [self.job("z")]
-        shed = s.submit(batch)
-        assert [e["tenant"] for e in shed] == ["t"] * 3
-        assert len(s.last_kept) == 2  # one metered + the unmetered color
+        admission = s.validate(batch)
+        s.commit(admission)
+        assert [e["tenant"] for e in admission.shed] == ["t"] * 3
+        assert len(admission.kept) == 2  # one metered + the unmetered color
+        assert admission.tallies == {"t": (4, 3)}
 
     def test_each_job_is_routed_to_its_shard_once(self, monkeypatch):
         import repro.serve.session as session_module

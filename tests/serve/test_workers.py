@@ -83,39 +83,27 @@ class Harness:
         )
         self.seq = 0
 
-    def submit(self, jobs):
-        """Both sessions, write-ahead: intent + marker before the commit."""
-        self.ws.validate(jobs)
-        self.oracle.validate(jobs)
-        self.seq += 1
-        self.journal.append(
-            submit_record(self.seq, self.ws.round, jobs), sync=True
-        )
-        self.journal.append(commit_record(self.seq), sync=False)
-        self.ws.commit(jobs)
-        self.oracle.commit(jobs)
-
     def register_tenant(self, contract):
         """The server's order: journal record first, then both installs."""
         self.journal.append(tenant_record(contract.to_dict()), sync=True)
         assert self.ws.register_tenant(contract) == \
             self.oracle.register_tenant(contract)
 
-    def submit_metered(self, jobs):
-        """:meth:`submit` with tenants registered: both sessions shed the
-        same jobs, and the journal and both commits carry the kept ones."""
-        self.ws.validate(jobs)
-        self.oracle.validate(jobs)
-        assert self.ws.last_shed == self.oracle.last_shed
-        kept = self.ws.last_kept
+    def submit(self, jobs):
+        """Both sessions, write-ahead: intent + marker before the commit.
+        Both return the same admission (the same sheds with tenants
+        registered), and the journal carries the kept jobs."""
+        live = self.ws.validate(jobs)
+        control = self.oracle.validate(jobs)
+        assert live == control
         self.seq += 1
         self.journal.append(
-            submit_record(self.seq, self.ws.round, kept), sync=True
+            submit_record(self.seq, self.ws.round, live.kept), sync=True
         )
         self.journal.append(commit_record(self.seq), sync=False)
-        self.ws.commit(kept)
-        self.oracle.commit(self.oracle.last_kept)
-        return kept
+        self.ws.commit(live)
+        self.oracle.commit(control)
+        return live.kept
 
     def tick(self):
         live = self.ws.tick()
@@ -224,10 +212,6 @@ class TestParity:
                 timeout=10.0,
                 **kwargs,
             )
-
-    def test_commit_without_validate_raises(self, harness):
-        with pytest.raises(RuntimeError, match="without a matching validate"):
-            harness.ws.commit([Job(color="a", arrival=0, delay_bound=1)])
 
 
 class TestCrossWorkerAdmission:
@@ -411,7 +395,7 @@ class TestCrossWorkerAdmission:
                 ]
                 if r == 0:
                     batch.append(pin)
-                h.submit_metered(batch)
+                h.submit(batch)
                 if r == kill_round:
                     os.kill(
                         h.ws._workers[victim].worker.process.pid,
@@ -445,10 +429,9 @@ class TestCrossWorkerAdmission:
                     uid=pin.uid,
                 )
             self.reject_both_ways(h, [good, bad])
-            assert h.ws.last_shed == h.oracle.last_shed
             assert h.ws.shard_digests() == before
             h.assert_identical()
-            h.submit_metered([good])
+            h.submit([good])
             for _ in range(3):
                 h.tick()
             h.assert_identical()
@@ -499,7 +482,7 @@ class TestPipeProtocol:
             shed = 0
             for rnd in range(flood.horizon):
                 batch = list(flood.sequence.request(rnd))
-                kept = h.submit_metered(batch)
+                kept = h.submit(batch)
                 shed += len(batch) - len(kept)
                 targets = {shard_of(job.color, 2) for job in kept}
                 for sid in (0, 1):
@@ -590,8 +573,7 @@ class TestFailover:
     def test_retry_exhaustion_poisons_the_session(self, tmp_path):
         h = Harness(tmp_path, timeout=5.0, retries=0)
         try:
-            h.ws.validate([Job(color="a", arrival=0, delay_bound=2)])
-            h.ws.commit([Job(color="a", arrival=0, delay_bound=2)])
+            h.ws.commit(h.ws.validate([Job(color="a", arrival=0, delay_bound=2)]))
             signal_worker(h.ws, 0, signal.SIGKILL)
             with pytest.raises(RuntimeError, match="shard 0 unavailable"):
                 h.ws.tick()

@@ -1,6 +1,8 @@
 """Unit tests for the shared fsync-append JSONL utility."""
 
+import errno
 import json
+import os
 
 import pytest
 
@@ -24,9 +26,8 @@ class TestJsonlJournal:
     def test_records_survive_close(self, tmp_path):
         path = tmp_path / "j.jsonl"
         with JsonlJournal(path) as journal:
-            assert journal.append({"kind": "a"})
-            assert journal.append({"kind": "b"})
-            assert journal.records_written == 2
+            journal.append({"kind": "a"})
+            journal.append({"kind": "b"})
         rows = [json.loads(l) for l in path.read_text().splitlines()]
         assert [r["kind"] for r in rows] == ["a", "b"]
 
@@ -49,28 +50,50 @@ class TestJsonlJournal:
     def test_creates_parent_directories(self, tmp_path):
         path = tmp_path / "deep" / "nest" / "j.jsonl"
         with JsonlJournal(path) as journal:
-            assert journal.append({"x": 1})
+            journal.append({"x": 1})
         assert path.exists()
 
     def test_unwritable_journal_reports_unhealthy(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("")
-        # The parent "directory" is a regular file, so the open must fail.
-        journal = JsonlJournal(blocker / "j.jsonl")
-        assert journal.healthy is False
-        assert journal.append({"x": 1}) is False
+        # The parent "directory" is a regular file, so the open must fail,
+        # and fail stop: it raises instead of handing back a dead journal.
+        with pytest.raises(OSError):
+            JsonlJournal(blocker / "j.jsonl")
+
+    def test_failed_append_raises(self, tmp_path, monkeypatch):
+        def full(fd):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        with JsonlJournal(tmp_path / "j.jsonl") as journal:
+            monkeypatch.setattr(os, "fsync", full)
+            with pytest.raises(OSError, match="No space"):
+                journal.append({"x": 1})
+
+    def test_short_write_raises(self, tmp_path):
+        class Short:
+            def write(self, data):
+                return len(data) - 1
+
+            def close(self):
+                pass
+
+        journal = JsonlJournal(tmp_path / "j.jsonl")
         journal.close()
+        journal._fh = Short()
+        with pytest.raises(OSError, match="short write"):
+            journal.append({"x": 1})
 
     def test_sync_override_still_flushes(self, tmp_path):
         # sync=False skips the fsync but the record must still reach the
-        # OS (flush): another process reading the file sees it at once,
+        # OS: another process reading the file sees it at once,
         # which is exactly what worker-failover replay relies on.
         path = tmp_path / "j.jsonl"
         journal = JsonlJournal(path, truncate=True)
         try:
-            assert journal.append({"x": 1}, sync=False)
+            journal.append({"x": 1}, sync=False)
             assert read_jsonl(path) == [{"x": 1}]
-            assert journal.append({"x": 2}, sync=True)
+            journal.append({"x": 2}, sync=True)
             assert read_jsonl(path) == [{"x": 1}, {"x": 2}]
         finally:
             journal.close()
