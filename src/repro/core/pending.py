@@ -5,12 +5,32 @@ simulator keeps one pool per color; pools hand out the earliest-deadline
 pending job in ``O(log n)`` (heapq, per the reproduction band's hint) and
 drop everything whose deadline has been reached.
 
-Execution pops the heap head and the drop phase pops every due head, so
-every heap entry is a pending job and both operations stay logarithmic.
+Execution takes from the heap head and the drop phase pops every due
+head, so every heap entry holds pending jobs and both operations stay
+logarithmic.
 
-A heap entry is ``(deadline, delay_bound, color key, uid, job)``: the
-fields of :meth:`Job.sort_key <repro.core.job.Job.sort_key>` followed by
-the job, so entries order exactly as the jobs' sort keys do.
+A heap entry takes one of two forms:
+
+- a *job entry* ``(deadline, delay_bound, color key, uid, job)``: the
+  fields of :meth:`Job.sort_key <repro.core.job.Job.sort_key>` followed
+  by the job, so entries order exactly as the jobs' sort keys do;
+- a *run* ``(deadline, delay_bound, color key, smallest uid, jobs)``:
+  jobs of one arrival round that share one color object and one delay
+  bound, so one sort-key prefix, held in a list by falling uid.
+  Execution pops the list's last (smallest-uid) job and the drop phase
+  drops the whole run with one ``heappop``.
+
+The group a pool is handed picks the form: :meth:`PendingPool.add_group`
+makes a run of two or more jobs that share one color object, arrival
+and bound, and a job entry of anything else (a lone job, or a group
+mixing ``1``/``1.0``/``True`` or bounds).  A run's uid field is not
+updated as its jobs execute; that is safe because no other entry shares
+a run's ``(deadline, delay_bound, color key)`` prefix, so comparisons
+never reach it.  The rule holds when each round's arrivals are added in
+one :meth:`PendingStore.add_arrivals` call, as the simulator does:
+equal colors land in one group, and equal deadlines and bounds mean
+equal arrival rounds.  Pools therefore yield, execute and drop jobs in
+exactly the order of one entry per job.
 
 The store additionally maintains a cached nonidle-color set, updated on
 every add/pop/drop instead of rescanning the pools, plus a consumable
@@ -24,10 +44,13 @@ of walking every pool.
 from __future__ import annotations
 
 import heapq
-from typing import Iterator
+from operator import attrgetter
+from typing import Iterator, Mapping, Sequence
 
 from repro.core.job import Color, Job, color_sort_key
 from repro.telemetry.recorder import Recorder, get_recorder
+
+_uid = attrgetter("uid")
 
 
 class PendingPool:
@@ -38,7 +61,9 @@ class PendingPool:
     drop phase).  ``index`` is the pool's creation index in that store.
     """
 
-    __slots__ = ("color", "index", "_heap", "_store", "_key_color", "_key")
+    __slots__ = (
+        "color", "index", "_heap", "_store", "_key_color", "_key", "_extra",
+    )
 
     def __init__(
         self, color: Color, store: PendingStore | None = None, index: int = 0
@@ -53,18 +78,13 @@ class PendingPool:
         #: No job is black, so the first job always computes its key.
         self._key_color: Color = None
         self._key: object = None
+        #: pending jobs beyond one per heap entry (a run of k jobs adds
+        #: k - 1), so the pool holds ``len(_heap) + _extra`` jobs.
+        self._extra = 0
 
     def add(self, job: Job) -> None:
         color = job.color
-        if color is self._key_color:
-            key = self._key
-        else:
-            if color != self.color:
-                raise ValueError(
-                    f"job color {color!r} != pool color {self.color!r}"
-                )
-            key = self._key = color_sort_key(color)
-            self._key_color = color
+        key = self._key if color is self._key_color else self._key_of(color)
         bound = job.delay_bound
         heap = self._heap
         entry = (job.arrival + bound, bound, key, job.uid, job)
@@ -76,8 +96,59 @@ class PendingPool:
             if heap[0] is entry:
                 heapq.heappush(store._due, (entry[0], self.index, self.color))
 
+    def add_group(self, jobs: Sequence[Job]) -> None:
+        """Add jobs that arrive in one round: as one run when there are
+        two or more and they share one color object, arrival and delay
+        bound, else one :meth:`add` each.
+
+        The caller adds each round's jobs of this color in one call (see
+        the module docstring): no other entry may share a run's prefix.
+        ``jobs`` is not changed; the run holds a sorted copy.
+        """
+        if len(jobs) > 1:
+            first = jobs[0]
+            color = first.color
+            arrival = first.arrival
+            bound = first.delay_bound
+            for job in jobs:
+                if (
+                    job.color is not color
+                    or job.arrival != arrival
+                    or job.delay_bound != bound
+                ):
+                    break
+            else:
+                key = (
+                    self._key if color is self._key_color
+                    else self._key_of(color)
+                )
+                run = sorted(jobs, key=_uid, reverse=True)
+                heap = self._heap
+                entry = (arrival + bound, bound, key, run[-1].uid, run)
+                heapq.heappush(heap, entry)
+                self._extra += len(run) - 1
+                store = self._store
+                if store is not None:
+                    if len(heap) == 1:
+                        store._on_idle_change(self.color, False)
+                    if heap[0] is entry:
+                        heapq.heappush(
+                            store._due, (entry[0], self.index, self.color)
+                        )
+                return
+        for job in jobs:
+            self.add(job)
+
+    def _key_of(self, color: Color) -> object:
+        """Check ``color`` against the pool's and memo its sort key."""
+        if color != self.color:
+            raise ValueError(f"job color {color!r} != pool color {self.color!r}")
+        key = self._key = color_sort_key(color)
+        self._key_color = color
+        return key
+
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self._heap) + self._extra
 
     @property
     def idle(self) -> bool:
@@ -86,7 +157,10 @@ class PendingPool:
 
     def peek(self) -> Job | None:
         """Earliest-deadline pending job, or None if idle."""
-        return self._heap[0][4] if self._heap else None
+        if not self._heap:
+            return None
+        item = self._heap[0][4]
+        return item[-1] if item.__class__ is list else item
 
     def earliest_deadline(self) -> int | None:
         return self._heap[0][0] if self._heap else None
@@ -96,7 +170,15 @@ class PendingPool:
         heap = self._heap
         if not heap:
             raise IndexError(f"pool for color {self.color!r} is empty")
-        job = heapq.heappop(heap)[4]
+        item = heap[0][4]
+        if item.__class__ is list:
+            job = item.pop()
+            if item:
+                self._extra -= 1
+                return job
+            heapq.heappop(heap)
+        else:
+            job = heapq.heappop(heap)[4]
         if not heap and self._store is not None:
             self._store._on_idle_change(self.color, True)
         return job
@@ -113,14 +195,27 @@ class PendingPool:
         pop = heapq.heappop
         dropped: list[Job] = []
         while heap and heap[0][0] <= rnd:
-            dropped.append(pop(heap)[4])
+            item = pop(heap)[4]
+            if item.__class__ is list:
+                self._extra -= len(item) - 1
+                item.reverse()
+                dropped += item
+            else:
+                dropped.append(item)
         if dropped and not heap and self._store is not None:
             self._store._on_idle_change(self.color, True)
         return dropped
 
     def pending_jobs(self) -> list[Job]:
         """Snapshot of pending jobs in deadline order (test/analysis helper)."""
-        return sorted([entry[4] for entry in self._heap], key=Job.sort_key)
+        jobs: list[Job] = []
+        for entry in self._heap:
+            item = entry[4]
+            if item.__class__ is list:
+                jobs += item
+            else:
+                jobs.append(item)
+        return sorted(jobs, key=Job.sort_key)
 
 
 class PendingStore:
@@ -165,6 +260,23 @@ class PendingStore:
         if pool is None:
             pool = self.pool(job.color)
         pool.add(job)
+
+    def add_arrivals(self, groups: Mapping[Color, Sequence[Job]]) -> None:
+        """Add one round's arrivals, grouped by color as
+        :meth:`Request.by_color <repro.core.request.Request.by_color>`
+        groups them: a lone job with :meth:`PendingPool.add`, a larger
+        group with :meth:`PendingPool.add_group`.  Call it once per round
+        (see the module docstring); the groups are only read.
+        """
+        pools = self._pools
+        for color, jobs in groups.items():
+            pool = pools.get(color)
+            if pool is None:
+                pool = self.pool(color)
+            if len(jobs) == 1:
+                pool.add(jobs[0])
+            else:
+                pool.add_group(jobs)
 
     def colors(self) -> Iterator[Color]:
         return iter(self._pools)

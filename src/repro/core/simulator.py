@@ -237,9 +237,7 @@ class Simulator:
 
         # Phase 2: arrival.
         request = self.sequence.request(rnd)
-        add = self.pending.add
-        for job in request:
-            add(job)
+        self.pending.add_arrivals(request.by_color())
         self.events.record_arrivals(rnd, request)
         self.policy.on_arrival_phase(rnd, request)
         t2 = tick() if live else 0.0

@@ -178,7 +178,7 @@ class TestTraceCompleteness:
             )
             assert resolved == root["attrs"]["jobs"]
 
-    def test_workers_mode_votes_round_trip_the_trace_id(self, tmp_path):
+    def test_workers_mode_admit_spans_carry_the_submit_trace_id(self, tmp_path):
         _, spans = self.run_workload(
             tmp_path, workers=True, journal=str(tmp_path / "j.jsonl")
         )
@@ -189,9 +189,9 @@ class TestTraceCompleteness:
                 s for s in entry["nodes"].values() if s["name"] == "admit"
             ]
             assert admits
-            # the admit span's trace id is the one the admission vote
-            # carried, so a match proves propagation from the submit
-            # through admission to the span
+            # the server writes one admit span per shard slice of a
+            # submit, in the trace that submit minted: each one must
+            # carry its own submit's trace id
             assert all(s["trace"] == trace_id for s in admits)
 
 
